@@ -21,6 +21,7 @@ from itertools import product as iproduct
 from .arena import Arena, Strategy
 from .errors import CapExceeded, EncodingError
 from .formula import And, Atom, Formula, Next, Not, Until, atoms, r_depth, subformulas
+from .graph import components, reachable
 
 __all__ = [
     "Caps", "BuchiAutomaton", "ParityAutomaton", "ParityGame",
@@ -76,45 +77,15 @@ class BuchiAutomaton:
         if not cycle:
             raise ValueError("cycle must be nonempty")
 
-        def nxt(i):
-            return i + 1 if i + 1 < total else loop_to
+        def successors(node):
+            q, i = node
+            j = i + 1 if i + 1 < total else loop_to
+            return [(q2, j) for q2 in self.transitions[(q, word[i])]]
 
-        start = [(q, 0) for q in self.initial]
-        seen = set(start)
-        queue = deque(start)
-        reach = []
-        while queue:
-            node = queue.popleft()
-            reach.append(node)
-            q, i = node
-            for q2 in self.transitions[(q, word[i])]:
-                nxt_node = (q2, nxt(i))
-                if nxt_node not in seen:
-                    seen.add(nxt_node)
-                    queue.append(nxt_node)
         # accepting run <=> some reachable accepting node lies on a cycle
-        for node in reach:
-            if node[0] not in self.accepting:
-                continue
-            frontier = deque()
-            local = set()
-            q, i = node
-            for q2 in self.transitions[(q, word[i])]:
-                tgt = (q2, nxt(i))
-                if tgt not in local:
-                    local.add(tgt)
-                    frontier.append(tgt)
-            while frontier:
-                cur = frontier.popleft()
-                if cur == node:
-                    return True
-                q, i = cur
-                for q2 in self.transitions[(q, word[i])]:
-                    tgt = (q2, nxt(i))
-                    if tgt not in local:
-                        local.add(tgt)
-                        frontier.append(tgt)
-        return False
+        nodes, succ, _ = reachable([(q, 0) for q in self.initial], successors)
+        accepting = [q in self.accepting for q, _ in nodes]
+        return any(found for _, found in components(succ, accepting))
 
 
 def ltl_to_nba(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> BuchiAutomaton:
@@ -495,7 +466,6 @@ def solve_parity(game: ParityGame):
     strategies[p] maps each p-owned node of p's region to its chosen
     successor.
     """
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10000 + 4 * len(game.nodes)))
     node_order = {v: i for i, v in enumerate(game.nodes)}
     pred = {v: [] for v in game.nodes}
     for v in game.nodes:
@@ -557,7 +527,14 @@ def solve_parity(game: ParityGame):
             return w0b, w1b | trap, mine, other
         return w0b | trap, w1b, other, mine
 
-    w0, w1, s0, s1 = solve(set(game.nodes))
+    # the recursion nests once per removed attractor; the raised limit is
+    # restored so solving leaves no interpreter state behind
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10000 + 4 * len(game.nodes)))
+    try:
+        w0, w1, s0, s1 = solve(set(game.nodes))
+    finally:
+        sys.setrecursionlimit(limit)
     winner = {v: 0 for v in w0}
     winner.update({v: 1 for v in w1})
     return winner, {0: s0, 1: s1}

@@ -16,6 +16,7 @@ from .arena import Arena
 from .errors import NameCollisionError
 from .formula import (Formula, Not, atoms, depth1_r_subformulas,
                       format_formula, fresh_atom_name, r_depth, substitute)
+from .graph import components, reachable
 from .ltlgame import Caps, DEFAULT_CAPS, ltl_to_nba
 
 __all__ = [
@@ -37,78 +38,73 @@ class MarkingReport:
         self.power = power
 
 
-def _violation_product(arena: Arena, psi: Formula, caps: Caps):
-    """Buchi product hunting traces that violate psi.
-
-    Returns (nba, read) where read(q, u) gives the automaton successors
-    after the state q consumes the label of position u.
+def _violation_graph(arena: Arena, psi: Formula, sources, caps: Caps):
+    """Product of the arena with an NBA for not psi, reachable from (u, q0)
+    for u in sources, numbered by `graph.reachable`; its accepting traces
+    are the traces violating psi.  Returns the (position, accepting, succ,
+    parent) lists of its nodes.
     """
     ap = frozenset(atoms(psi))
-    letters = sorted({arena.labels[u] & ap for u in arena.positions},
-                     key=lambda s: tuple(sorted(s)))
+    letter_of = [arena.labels[u] & ap for u in arena.positions]
+    letters = sorted(set(letter_of), key=lambda s: tuple(sorted(s)))
     nba = ltl_to_nba(Not(psi), letters=letters, caps=caps)
+    # states numbered in str order keep searches (and witnesses) reproducible
+    states = sorted(nba.states, key=str)
+    q_id = {q: i for i, q in enumerate(states)}
+    nq = len(states)
+    reads = {(q_id[q], letter): sorted(q_id[q2] for q2 in targets)
+             for (q, letter), targets in nba.transitions.items()}
+    moves = [[arena.index(w) * nq for w in arena.successors(u)]
+             for u in arena.positions]
 
-    def read(q, u):
-        # stable order keeps searches (and hence witnesses) reproducible
-        return sorted(nba.transitions[(q, arena.labels[u] & ap)], key=str)
+    def successors(node):
+        u, q = divmod(node, nq)
+        return [w + q2 for q2 in reads[(q, letter_of[u])] for w in moves[u]]
 
-    return nba, read
+    initial = sorted(q_id[q] for q in nba.initial)
+    seeds = [arena.index(u) * nq + q for u in sources for q in initial]
+    nodes, succ, parent = reachable(seeds, successors, caps.product_nodes,
+                                    "marker product nodes")
+    position = [arena.positions[node // nq] for node in nodes]
+    accepting = [states[node % nq] in nba.accepting for node in nodes]
+    return position, accepting, succ, parent
 
 
 def trace_counterexample(arena: Arena, v, psi: Formula, caps: Caps = DEFAULT_CAPS):
     """A trace from v violating LTL psi, as (stem, cycle) position lists,
     or None when every infinite trace from v satisfies psi.
 
-    An accepting lasso of the violation product is the witness; anchors are
-    tried in breadth-first discovery order so short witnesses come first.
+    The witness is an accepting lasso of the violation product: its anchor
+    is the first accepting node, in breadth-first order, that lies on a
+    cycle; the stem is the breadth-first path to it and the cycle the
+    shortest one back to it, so short witnesses come first.
     """
-    nba, read = _violation_product(arena, psi, caps)
-    initial = [(v, q) for q in sorted(nba.initial, key=str)]
-    parent: dict = {node: None for node in initial}
-    order = list(initial)
-    queue = deque(initial)
-    while queue:
-        node = queue.popleft()
-        u, q = node
-        for q2 in read(q, u):
-            for u2 in arena.successors(u):
-                nxt = (u2, q2)
-                if nxt not in parent:
-                    parent[nxt] = node
-                    order.append(nxt)
-                    queue.append(nxt)
+    position, accepting, succ, parent = _violation_graph(arena, psi, [v], caps)
+    found = [(min(m for m in members if accepting[m]), members)
+             for members, accepting_cycle in components(succ, accepting)
+             if accepting_cycle]
+    if not found:
+        return None
+    anchor, members = min(found)
+    inside = set(members)   # every cycle through the anchor stays in its component
 
-    for anchor in order:
-        if anchor[1] not in nba.accepting:
-            continue
-        local_parent = {anchor: None}
-        frontier = deque([anchor])
-        while frontier:
-            node = frontier.popleft()
-            u, q = node
-            for q2 in read(q, u):
-                for u2 in arena.successors(u):
-                    nxt = (u2, q2)
-                    if nxt == anchor:
-                        back = []
-                        cur = node
-                        while cur is not None:
-                            back.append(cur)
-                            cur = local_parent[cur]
-                        cycle_nodes = list(reversed(back))
-                        stem_nodes = []
-                        cur = anchor
-                        while cur is not None:
-                            stem_nodes.append(cur)
-                            cur = parent[cur]
-                        stem_nodes.reverse()
-                        stem = [n[0] for n in stem_nodes[:-1]]
-                        cyc = [n[0] for n in cycle_nodes]
-                        return stem, cyc
-                    if nxt not in local_parent:
-                        local_parent[nxt] = node
-                        frontier.append(nxt)
-    return None
+    def path_to(node, links):
+        out = []
+        while node >= 0:
+            out.append(position[node])
+            node = links[node]
+        return out[::-1]
+
+    back = {anchor: -1}
+    queue = deque([anchor])
+    while True:
+        node = queue.popleft()
+        for nxt in succ[node]:
+            if nxt == anchor:
+                return path_to(parent[anchor], parent), path_to(node, back)
+            if nxt in inside and nxt not in back:
+                back[nxt] = node
+                queue.append(nxt)
 
 
 def position_models_ltl(arena: Arena, v, psi: Formula, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -121,90 +117,20 @@ def position_models_ltl(arena: Arena, v, psi: Formula, caps: Caps = DEFAULT_CAPS
 def satisfying_positions(arena: Arena, psi: Formula, caps: Caps = DEFAULT_CAPS) -> frozenset:
     """All positions from which every infinite trace satisfies psi.
 
-    One product and one cycle analysis answer the question for every
-    position at once: a position fails iff one of its initial product nodes
-    can reach a cycle through an accepting state.
+    One product seeded at every position and one SCC pass decide every
+    position: a component is bad iff it holds an accepting cycle or reaches
+    a bad component, which arrives before it.  A position fails iff one of
+    its seeds is bad.
     """
-    nba, read = _violation_product(arena, psi, caps)
-    nodes = [(u, q) for u in arena.positions for q in nba.states]
-    succ = {}
-    for u, q in nodes:
-        targets = []
-        for q2 in read(q, u):
-            for u2 in arena.successors(u):
-                targets.append((u2, q2))
-        succ[(u, q)] = targets
-
-    # iterative Tarjan SCC
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    counter = [0]
-    in_accepting_cycle = set()
-
-    def strongconnect(root):
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter[0]
-                    counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(succ[child])))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent_node = work[-1][0]
-                low[parent_node] = min(low[parent_node], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                has_edge_inside = (
-                    len(component) > 1
-                    or any(t == node for t in succ[node])
-                )
-                if has_edge_inside and any(m[1] in nba.accepting for m in component):
-                    in_accepting_cycle.update(component)
-
-    for node in nodes:
-        if node not in index:
-            strongconnect(node)
-
-    # positions whose product can reach an accepting cycle are violating
-    pred: dict = {node: [] for node in nodes}
-    for node in nodes:
-        for t in succ[node]:
-            pred[t].append(node)
-    bad = set(in_accepting_cycle)
-    queue = deque(bad)
-    while queue:
-        node = queue.popleft()
-        for p in pred[node]:
-            if p not in bad:
-                bad.add(p)
-                queue.append(p)
-    return frozenset(
-        u for u in arena.positions
-        if all((u, q) not in bad for q in nba.initial)
-    )
+    position, accepting, succ, parent = _violation_graph(
+        arena, psi, arena.positions, caps)
+    bad = [False] * len(succ)
+    for members, accepting_cycle in components(succ, accepting):
+        if accepting_cycle or any(bad[t] for m in members for t in succ[m]):
+            for m in members:
+                bad[m] = True
+    failing = {position[i] for i, p in enumerate(parent) if p < 0 and bad[i]}
+    return frozenset(u for u in arena.positions if u not in failing)
 
 
 def eliminate_r(arena: Arena, t, phi: Formula, caps: Caps = DEFAULT_CAPS):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arena import Arena, Strategy, outcome_arena
+from .arena import Arena, Strategy, outcome_arena, validate
 from .errors import CapExceeded, EncodingError
 from .formula import Formula, r_depth
 from .ltlgame import Caps, DEFAULT_CAPS, solve_ltl_game
@@ -33,7 +33,8 @@ class FusInstance:
 
     The stored transducer is expected to relate plays only; build instances
     with `make` to have an arbitrary relation restricted (and trimmed)
-    automatically.
+    automatically and a malformed arena rejected with its first
+    `arena.validate` diagnostic.
     """
 
     arena: Arena
@@ -43,6 +44,9 @@ class FusInstance:
 
     @classmethod
     def make(cls, arena, transducer, phi, protagonist=1, restrict=True):
+        diagnostics = validate(arena)
+        if diagnostics:
+            raise EncodingError(diagnostics[0])
         positions = frozenset(arena.positions)
         stray = (transducer.input_alphabet | transducer.output_alphabet) - positions
         if stray:
@@ -90,27 +94,10 @@ class CheckResult:
 def _eliminate_all(arena, transducer, phi, caps):
     """Run elimination rounds until the formula is plain LTL.
 
-    Returns (final arena, final transducer, final formula, power chain).
+    Returns (final arena, final transducer, final formula, power chain,
+    trace), where the trace records the sizes before each round and after
+    the last one.
     """
-    chain = []
-    k = 0
-    while r_depth(phi) > 0:
-        k += 1
-        try:
-            arena, transducer, phi, report = eliminate_r(arena, transducer, phi, caps)
-        except CapExceeded as exc:
-            raise CapExceeded(exc.what, exc.size, exc.cap, iteration=k) from None
-        chain.append(report.power)
-    return arena, transducer, phi, chain
-
-
-def synthesize_fully_uniform(inst: FusInstance, caps: Caps = DEFAULT_CAPS) -> SynthesisResult:
-    """Decide the fully-uniform strategy problem and extract a witness.
-
-    Per-iteration sizes are recorded so callers can observe the tower of
-    exponentials instead of timing it.
-    """
-    arena, transducer, phi = inst.arena, inst.transducer, inst.phi
     trace = [IterationStats(len(arena), len(transducer), r_depth(phi))]
     chain = []
     while r_depth(phi) > 0:
@@ -121,6 +108,17 @@ def synthesize_fully_uniform(inst: FusInstance, caps: Caps = DEFAULT_CAPS) -> Sy
                               iteration=len(chain) + 1) from None
         chain.append(report.power)
         trace.append(IterationStats(len(arena), len(transducer), r_depth(phi)))
+    return arena, transducer, phi, chain, trace
+
+
+def synthesize_fully_uniform(inst: FusInstance, caps: Caps = DEFAULT_CAPS) -> SynthesisResult:
+    """Decide the fully-uniform strategy problem and extract a witness.
+
+    Per-iteration sizes are recorded so callers can observe the tower of
+    exponentials instead of timing it.
+    """
+    arena, _, phi, chain, trace = _eliminate_all(
+        inst.arena, inst.transducer, inst.phi, caps)
     strategy_hat = solve_ltl_game(arena, phi, inst.protagonist, caps=caps)
     if strategy_hat is None:
         return SynthesisResult("not_exists", None, trace)
@@ -234,7 +232,7 @@ def check_uniform(inst: FusInstance, sigma: Strategy, mode: str,
     if mode not in ("strict", "full"):
         raise ValueError("mode must be 'strict' or 'full'")
     if mode == "full":
-        final_arena, _, phi_n, chain = _eliminate_all(
+        final_arena, _, phi_n, chain, _ = _eliminate_all(
             inst.arena, inst.transducer, inst.phi, caps)
         outcome = outcome_arena(inst.arena, sigma)
         monitored = _monitored_outcome(outcome, chain, final_arena)
@@ -248,7 +246,7 @@ def check_uniform(inst: FusInstance, sigma: Strategy, mode: str,
         t_down, t_up = play_projection_transducers(
             outcome, lambda o: o[0], plain_alphabet=inst.arena.positions)
         pruned_relation = trim(compose(compose(t_down, inst.transducer), t_up))
-        monitored, _, phi_n, chain = _eliminate_all(
+        monitored, _, phi_n, chain, _ = _eliminate_all(
             outcome, pruned_relation, inst.phi, caps)
 
         def original(node):

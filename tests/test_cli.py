@@ -107,6 +107,16 @@ def test_solve_missing_formula(g0_files, capsys):
     assert code == 2
 
 
+def test_solve_dead_end_arena_rejected(g0_files, tmp_path, capsys):
+    _, fst = g0_files
+    arena = tmp_path / "dead.arena"
+    arena.write_text(ARENA_G0.replace("edge v1 v0\n", ""))
+    code, stdout, stderr = run_cli(["solve", str(arena), fst, "G F p"], capsys)
+    assert code == 2
+    assert "dead end: position 'v1' has no successor" in stderr
+    assert "parity game node" not in stdout + stderr
+
+
 def test_check_pass_and_fail(g0_files, tmp_path, capsys):
     arena, fst = g0_files
     strategy = tmp_path / "sigma.strategy"

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -280,6 +281,16 @@ def test_solve_ltl_game_examples():
     arena = make_branching(owner_v0=1)
     sigma = solve_ltl_game(arena, parse("F p"), 1)
     assert sigma is not None
+
+
+def test_solve_ltl_game_leaves_recursion_limit_alone():
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert solve_ltl_game(make_g0(), parse("G(p -> X !p)"), 1) is not None
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_solve_ltl_game_strategy_outcomes_satisfy_objective(rng):

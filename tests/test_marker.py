@@ -1,5 +1,10 @@
-from conftest import lassos_of, make_branching, make_g0
+import pytest
+
+from conftest import lassos_of, make_branching, make_g0, random_arena
+from unistrat.arena import Arena
+from unistrat.errors import CapExceeded
 from unistrat.formula import Atom, R, format_formula, parse, r_depth
+from unistrat.ltlgame import Caps
 from unistrat.marker import (eliminate_r, format_marking_report,
                              position_models_ltl, satisfying_positions,
                              trace_counterexample)
@@ -45,13 +50,51 @@ def test_trace_counterexample_is_a_violating_trace():
                           [arena.labels[v] for v in cycle], psi)
 
 
-def test_satisfying_positions_matches_pointwise():
+def test_trace_counterexample_pinned_witness():
+    # first accepting anchor in breadth-first order, shortest cycle back to it
+    assert trace_counterexample(make_branching(), "v0", parse("F p")) == (["v0"], ["b", "y"])
+
+
+def _rooted_at(arena, v):
+    return Arena(arena.positions, arena.owner, arena.edges, v, arena.labels)
+
+
+def test_satisfying_positions_matches_pointwise(rng):
+    """satisfying_positions and trace_counterexample against lasso_eval on
+    small random arenas: a satisfying position has no violating lasso among
+    those enumerated from it, and any other position has a witness that is
+    a violating lasso from it.  (The enumeration alone is not complete: it
+    closes each cycle at the first occurrence of the repeated position.)"""
+    texts = ["F p", "G !p", "X p", "p U q", "G(p -> X !p)", "G F p",
+             "F G q", "G F (p & q)", "G(p -> F q)"]
+    for arena in [make_branching()] + [random_arena(rng, max_positions=6)
+                                       for _ in range(12)]:
+        for text in texts:
+            psi = parse(text)
+            good = satisfying_positions(arena, psi)
+            for v in arena.positions:
+                witness = trace_counterexample(arena, v, psi)
+                assert (witness is None) == (v in good), (text, v)
+                if v in good:
+                    for stem, cycle in lassos_of(_rooted_at(arena, v)):
+                        assert lasso_eval([arena.labels[u] for u in stem],
+                                          [arena.labels[u] for u in cycle], psi)
+                    continue
+                stem, cycle = witness
+                path = stem + cycle
+                assert path[0] == v
+                assert all(b in arena.successors(a) for a, b in zip(path, path[1:]))
+                assert cycle[0] in arena.successors(path[-1])
+                assert not lasso_eval([arena.labels[u] for u in stem],
+                                      [arena.labels[u] for u in cycle], psi)
+
+
+def test_satisfying_positions_respects_product_cap():
     arena = make_branching()
-    for text in ["F p", "G !p", "X p", "p U q", "G(p -> X !p)"]:
-        psi = parse(text)
-        want = frozenset(v for v in arena.positions
-                         if position_models_ltl(arena, v, psi))
-        assert satisfying_positions(arena, psi) == want
+    psi = parse("G F p")
+    satisfying_positions(arena, psi, caps=Caps(product_nodes=10 ** 4))
+    with pytest.raises(CapExceeded):
+        satisfying_positions(arena, psi, caps=Caps(product_nodes=len(arena.positions)))
 
 
 def test_eliminate_r_true_marks_everything():
