@@ -16,8 +16,8 @@ import argparse
 import sys
 
 from . import encoders
-from .arena import format_arena, format_strategy, parse_arena, parse_strategy
-from .errors import StrictSynthesisUnsupported, UnistratError
+from .arena import format_arena, format_strategy, parse_arena, parse_strategy, validate
+from .errors import EncodingError, StrictSynthesisUnsupported, UnistratError
 from .formula import format_formula, parse as parse_formula, r_depth
 from .ltlgame import Caps, determinize, ltl_to_nba
 from .marker import eliminate_r, format_marking_report
@@ -47,6 +47,16 @@ def _add_cap_flags(parser):
     parser.add_argument("--max-power-positions", type=int, default=10 ** 6)
     parser.add_argument("--max-dpa-states", type=int, default=2 ** 20)
     parser.add_argument("--max-product", type=int, default=10 ** 7)
+
+
+def _load_arena(path):
+    """Parse an arena and reject it with its first diagnostic, as solve and
+    check do through FusInstance.make."""
+    arena = parse_arena(_read(path))
+    diagnostics = validate(arena)
+    if diagnostics:
+        raise EncodingError(diagnostics[0])
+    return arena
 
 
 def _load_formula(args):
@@ -169,7 +179,7 @@ def _expect_inputs(args, count, usage):
 def cmd_dump(args) -> int:
     if args.what == "powerset":
         arena_path, fst_path = _expect_inputs(args, 2, "<arena> <fst>")
-        arena = parse_arena(_read(arena_path))
+        arena = _load_arena(arena_path)
         fst = parse_transducer(_read(fst_path))
         if not args.no_restrict:
             fst = trim(restrict_to_plays(fst, arena))
@@ -189,7 +199,7 @@ def cmd_dump(args) -> int:
     elif args.what == "marking":
         arena_path, fst_path, formula_text = _expect_inputs(
             args, 3, "<arena> <fst> <formula>")
-        arena = parse_arena(_read(arena_path))
+        arena = _load_arena(arena_path)
         fst = parse_transducer(_read(fst_path))
         phi = parse_formula(formula_text)
         if not args.no_restrict:

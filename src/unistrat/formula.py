@@ -1,10 +1,10 @@
 """Formulas of LTL extended with the bundle modality R.
 
-Core connectives are atoms, negation, conjunction, next, until and R
-("for all related plays").  Everything else (true, false, ->, |, F, G, W,
-<R>) is parser sugar expanded into the core.  ASTs are immutable and
-compared structurally, so they can be used as dict keys and deduplicated
-by value.
+Core nodes are the constants true and false, atoms, negation,
+conjunction, next, until and R ("for all related plays").  Everything
+else (->, |, F, G, W, <R>) is parser sugar expanded into the core: F f is
+true U f and G f is !(true U !f).  ASTs are immutable and compared
+structurally, so they can be used as dict keys and deduplicated by value.
 """
 
 from __future__ import annotations
@@ -16,14 +16,10 @@ from dataclasses import dataclass
 from .errors import FormulaParseError, NameCollisionError
 
 __all__ = [
-    "Formula", "Atom", "Not", "And", "Next", "Until", "R",
+    "Formula", "Const", "Atom", "Not", "And", "Next", "Until", "R",
     "parse", "format_formula", "atoms", "subformulas", "r_depth",
-    "depth1_r_subformulas", "substitute", "true_formula", "false_formula",
+    "depth1_r_subformulas", "substitute",
 ]
-
-# Reserved atom used by the tautology that `true` expands to; its truth
-# value never matters.
-TRUE_ATOM = "@true"
 
 
 class Formula:
@@ -33,6 +29,11 @@ class Formula:
 
     def __str__(self):
         return format_formula(self)
+
+
+@dataclass(frozen=True, slots=True)
+class Const(Formula):
+    value: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,14 +68,6 @@ class R(Formula):
     sub: Formula
 
 
-def false_formula() -> Formula:
-    return And(Atom(TRUE_ATOM), Not(Atom(TRUE_ATOM)))
-
-
-def true_formula() -> Formula:
-    return Not(false_formula())
-
-
 def _or(f: Formula, g: Formula) -> Formula:
     return Not(And(Not(f), Not(g)))
 
@@ -84,7 +77,7 @@ def _implies(f: Formula, g: Formula) -> Formula:
 
 
 def _finally(f: Formula) -> Formula:
-    return Until(true_formula(), f)
+    return Until(Const(True), f)
 
 
 def _globally(f: Formula) -> Formula:
@@ -192,9 +185,9 @@ class _Parser:
         if kind == "ident" and val == "G":
             return _globally(self.parse_unary())
         if kind == "ident" and val == "true":
-            return true_formula()
+            return Const(True)
         if kind == "ident" and val == "false":
-            return false_formula()
+            return Const(False)
         if kind == "ident" and val not in _KEYWORDS:
             return Atom(val)
         if kind == "sym" and val == "(":
@@ -221,6 +214,8 @@ def format_formula(f: Formula) -> str:
     def fmt(g: Formula, parent: str) -> str:
         if isinstance(g, Atom):
             return g.name
+        if isinstance(g, Const):
+            return "true" if g.value else "false"
         if isinstance(g, Not):
             return "!" + fmt(g.sub, "unary")
         if isinstance(g, Next):
@@ -267,7 +262,7 @@ def atoms(f: Formula) -> set[str]:
 
 def r_depth(f: Formula) -> int:
     """Maximum nesting of R modalities; 0 means plain LTL."""
-    if isinstance(f, Atom):
+    if isinstance(f, (Const, Atom)):
         return 0
     if isinstance(f, (Not, Next)):
         return r_depth(f.sub)

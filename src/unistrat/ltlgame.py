@@ -1,7 +1,7 @@
 """LTL game backend: formula -> Buchi -> deterministic parity -> game solving.
 
 The pipeline turns a plain LTL objective into a nondeterministic Buchi word
-automaton (tableau construction over elementary subformula sets), then into
+automaton (on-the-fly expansion of its negation normal form), then into
 a deterministic parity automaton (Safra/Piterman compact trees), builds the
 product with an arena, and solves the resulting parity game with Zielonka's
 recursion, extracting positional strategies.
@@ -16,11 +16,10 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .arena import Arena, Strategy
 from .errors import CapExceeded, EncodingError
-from .formula import And, Atom, Formula, Next, Not, Until, atoms, r_depth, subformulas
+from .formula import And, Atom, Const, Formula, Next, Not, Until, atoms, r_depth
 from .graph import components, reachable
 
 __all__ = [
@@ -88,12 +87,133 @@ class BuchiAutomaton:
         return any(found for _, found in components(succ, accepting))
 
 
-def ltl_to_nba(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> BuchiAutomaton:
-    """Tableau translation of an LTL formula into a Buchi word automaton.
+# A term is one way for a formula to hold at a step, as four bit sets:
+# (atoms needed true, atoms needed false, nodes obliged from the next step
+# on, untils postponed).
 
-    States are elementary subformula valuations; a generalized acceptance
-    set per until is degeneralized with a counter.  The automaton is
-    completed with a rejecting sink so transitions are total per letter.
+def _size(t):
+    return t[0].bit_count() + t[1].bit_count() + t[2].bit_count() + t[3].bit_count()
+
+
+def _reduce(terms):
+    """Distinct terms, without those another term subsumes (by needing no
+    more atoms, obliging no more and postponing no more), which leaves the
+    language of every state unchanged; smallest first."""
+    kept = []
+    for t in sorted(set(terms), key=lambda t: (_size(t), t)):
+        pos, neg, nxt, post = t
+        for k in kept:
+            if not (k[0] & ~pos or k[1] & ~neg or k[2] & ~nxt or k[3] & ~post):
+                break
+        else:
+            kept.append(t)
+    return kept
+
+
+def _conjoin(ts, us):
+    """Terms of a conjunction: pairwise unions, contradictions dropped."""
+    out = []
+    for t in ts:
+        for u in us:
+            pos, neg = t[0] | u[0], t[1] | u[1]
+            if not pos & neg:
+                out.append((pos, neg, t[2] | u[2], t[3] | u[3]))
+    return _reduce(out)
+
+
+class _Expansion:
+    """Negation normal form with release, built bottom-up with the
+    constants folded (Gastin & Oddoux, CAV 2001).  Each distinct node gets
+    a number in construction order, terms[i] lists the terms of node i,
+    and each until gets the next acceptance index."""
+
+    def __init__(self, ap):
+        self.bit = {name: 1 << i for i, name in enumerate(ap)}
+        self.ids: dict = {}
+        self.terms: list = []
+        self.untils = 0
+        self.true = self._node(("true",), lambda i: [(0, 0, 0, 0)])
+        self.false = self._node(("false",), lambda i: [])
+
+    def _node(self, key, make_terms):
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.terms)
+            self.terms.append(make_terms(i))
+        return i
+
+    def nnf(self, f: Formula, positive=True) -> int:
+        if isinstance(f, Const):
+            return self.true if f.value == positive else self.false
+        if isinstance(f, Atom):
+            b = self.bit[f.name]
+            return self._node(("lit", b, positive),
+                              lambda i: [(b, 0, 0, 0) if positive else (0, b, 0, 0)])
+        if isinstance(f, Not):
+            return self.nnf(f.sub, not positive)
+        if isinstance(f, Next):
+            return self.next(self.nnf(f.sub, positive))
+        a, b = self.nnf(f.left, positive), self.nnf(f.right, positive)
+        if isinstance(f, And):
+            return self.conj(a, b) if positive else self.disj(a, b)
+        return self.until(a, b) if positive else self.release(a, b)
+
+    def next(self, a):
+        if a in (self.true, self.false):
+            return a
+        return self._node(("X", a), lambda i: [(0, 0, 1 << a, 0)])
+
+    def conj(self, a, b):
+        if self.false in (a, b):
+            return self.false
+        if a == self.true or a == b:
+            return b
+        if b == self.true:
+            return a
+        a, b = min(a, b), max(a, b)
+        return self._node(("and", a, b), lambda i: _conjoin(self.terms[a], self.terms[b]))
+
+    def disj(self, a, b):
+        if self.true in (a, b):
+            return self.true
+        if a == self.false or a == b:
+            return b
+        if b == self.false:
+            return a
+        a, b = min(a, b), max(a, b)
+        return self._node(("or", a, b), lambda i: _reduce(self.terms[a] + self.terms[b]))
+
+    def until(self, a, b):
+        """a U b: b now, or a now and a U b next, postponing it."""
+        if b in (self.true, self.false) or a in (self.false, b):
+            return b
+
+        def make(i):
+            mark = 1 << self.untils
+            self.untils += 1
+            return _reduce(self.terms[b] + _conjoin(self.terms[a], [(0, 0, 1 << i, mark)]))
+        return self._node(("U", a, b), make)
+
+    def release(self, a, b):
+        """a R b: a and b now, or b now and a R b next."""
+        if b in (self.true, self.false) or a in (self.true, b):
+            return b
+        return self._node(("R", a, b), lambda i: _reduce(
+            _conjoin(self.terms[a], self.terms[b])
+            + _conjoin(self.terms[b], [(0, 0, 1 << i, 0)])))
+
+
+def ltl_to_nba(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> BuchiAutomaton:
+    """On-the-fly translation of an LTL formula into a Buchi word automaton
+    (Gerth, Peled, Vardi & Wolper, PSTV 1995).
+
+    A state is a set of obligations, starting from {psi}; its moves are the
+    terms of their conjunction, and only states reachable from {psi} are
+    built.  Sets with the same moves are one state.  Each until gives an
+    acceptance set, the moves that do not postpone it, and a counter
+    degeneralizes these into accepting states.  States are numbered
+    0..n-1 in discovery order, a rejecting sink last when some letter has
+    no move, so transitions are total per letter.
     """
     if r_depth(psi) != 0:
         raise ValueError("ltl_to_nba needs a plain LTL formula")
@@ -103,113 +223,80 @@ def ltl_to_nba(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> BuchiAu
             raise CapExceeded("distinct propositions in one formula", len(ap), 16)
         letters = all_letters(ap)
     letters = tuple(letters)
+    ex = _Expansion(ap)
+    root = ex.nnf(psi)
+    k = ex.untils
+    masks = [sum(ex.bit[x] for x in letter if x in ex.bit) for letter in letters]
 
-    def size(g):
-        if isinstance(g, Atom):
-            return 1
-        if isinstance(g, (Not, Next)):
-            return 1 + size(g.sub)
-        return 1 + size(g.left) + size(g.right)
+    class_of: dict = {}   # obligation set -> index of its moves in `moves`
+    moves: list = []
+    move_class: dict = {}
 
-    cl = subformulas(psi)
-    rev = sorted(cl, key=size)  # children before parents
-    atom_nodes = [g for g in cl if isinstance(g, Atom)]
-    next_nodes = [g for g in cl if isinstance(g, Next)]
-    until_nodes = [g for g in cl if isinstance(g, Until)]
-    free = atom_nodes + next_nodes + until_nodes
-    if len(free) > 20:
-        raise CapExceeded("tableau free choices", 2 ** len(free), caps.nba_states)
+    def obligations(nodes):
+        c = class_of.get(nodes)
+        if c is None:
+            terms = [(0, 0, 0, 0)]
+            bits = nodes
+            while bits:
+                low = bits & -bits
+                terms = _conjoin(terms, ex.terms[low.bit_length() - 1])
+                bits ^= low
+            c = class_of[nodes] = move_class.setdefault(tuple(terms), len(moves))
+            if c == len(moves):
+                moves.append(terms)
+        return c
 
-    elementary = []
-    for bits in iproduct((False, True), repeat=len(free)):
-        assign = dict(zip(free, bits))
-        mem = {}
-        ok = True
-        for g in rev:
-            if isinstance(g, Atom):
-                mem[g] = assign[g]
-            elif isinstance(g, Not):
-                mem[g] = not mem[g.sub]
-            elif isinstance(g, And):
-                mem[g] = mem[g.left] and mem[g.right]
-            elif isinstance(g, Next):
-                mem[g] = assign[g]
-            elif isinstance(g, Until):
-                val = assign[g]
-                if mem[g.right] and not val:
-                    ok = False
-                    break
-                if val and not (mem[g.right] or mem[g.left]):
-                    ok = False
-                    break
-                mem[g] = val
-            else:
-                raise ValueError("unexpected R inside LTL tableau")
-        if ok:
-            elementary.append(mem)
+    ids: dict = {}   # (moves class, level) -> state
+    keys: list = []
 
-    def compatible(mem, letter):
-        return all(mem[g] == (g.name in letter) for g in atom_nodes)
+    def state(nodes, level):
+        key = (obligations(nodes), level)
+        q = ids.get(key)
+        if q is None:
+            q = ids[key] = len(keys)
+            keys.append(key)
+            if len(keys) > caps.nba_states:
+                raise CapExceeded("Buchi automaton states", len(keys), caps.nba_states)
+        return q
 
-    def follows(mem, mem2):
-        for g in next_nodes:
-            if mem[g] != mem2[g.sub]:
-                return False
-        for g in until_nodes:
-            if mem[g] != (mem[g.right] or (mem[g.left] and mem2[g])):
-                return False
-        return True
+    state(1 << root, 0)
+    transitions = {}
+    for q, (c, level) in enumerate(keys):   # appended to while walked
+        start = 0 if level == k else level
 
-    n_elem = len(elementary)
-    succ_of = [[j for j in range(n_elem) if follows(elementary[i], elementary[j])]
-               for i in range(n_elem)]
-    compat = [[compatible(elementary[i], letter) for letter in letters]
-              for i in range(n_elem)]
+        def target(nxt, post):
+            j = start
+            while j < k and not post >> j & 1:
+                j += 1
+            return state(nxt, j)
 
-    k = len(until_nodes)
-    acc_sets = [
-        {i for i, mem in enumerate(elementary) if mem[u.right] or not mem[u]}
-        for u in until_nodes
-    ]
-    init_elem = [i for i, mem in enumerate(elementary) if mem[psi]]
-
-    if k == 0:
-        states = list(range(n_elem))
-        initial = frozenset(init_elem)
-        accepting = frozenset(states)
-        raw_delta = {}
-        for i in states:
-            for li, letter in enumerate(letters):
-                raw_delta[(i, letter)] = frozenset(succ_of[i]) if compat[i][li] else frozenset()
-    else:
-        states = [(i, c) for i in range(n_elem) for c in range(k)]
-        initial = frozenset((i, 0) for i in init_elem)
-        accepting = frozenset((i, 0) for i in acc_sets[0])
-        raw_delta = {}
-        for (i, c) in states:
-            c2 = (c + 1) % k if i in acc_sets[c] else c
-            for li, letter in enumerate(letters):
-                if compat[i][li]:
-                    raw_delta[((i, c), letter)] = frozenset((j, c2) for j in succ_of[i])
-                else:
-                    raw_delta[((i, c), letter)] = frozenset()
-
-    # completion: route missing moves to a rejecting sink
-    needs_sink = any(not v for v in raw_delta.values())
-    if needs_sink:
-        sink = "sink"
-        states = list(states) + [sink]
-        for (q, letter), tgt in list(raw_delta.items()):
+        reads = {}   # moves a letter satisfies -> the states they lead to
+        for letter, mask in zip(letters, masks):
+            fit = tuple((nxt, post) for pos, neg, nxt, post in moves[c]
+                        if not (pos & ~mask or neg & mask))
+            if fit not in reads:
+                # on this letter, a move obliging and postponing no more
+                # than another makes that one redundant
+                reads[fit] = frozenset(
+                    target(nxt, post) for nxt, post in fit
+                    if not any((n, p) != (nxt, post) and not (n & ~nxt or p & ~post)
+                               for n, p in fit))
+            transitions[(q, letter)] = reads[fit]
+    states = list(range(len(keys)))
+    accepting = frozenset(q for q, (_, level) in enumerate(keys) if level == k)
+    if not all(transitions.values()):
+        sink = len(states)
+        states.append(sink)
+        if len(states) > caps.nba_states:
+            raise CapExceeded("Buchi automaton states", len(states), caps.nba_states)
+        for move, tgt in transitions.items():
             if not tgt:
-                raw_delta[(q, letter)] = frozenset([sink])
+                transitions[move] = frozenset([sink])
         for letter in letters:
-            raw_delta[(sink, letter)] = frozenset([sink])
-
-    if len(states) > caps.nba_states:
-        raise CapExceeded("Buchi automaton states", len(states), caps.nba_states)
-    return BuchiAutomaton(
-        ap=ap, letters=letters, states=tuple(states), initial=initial,
-        accepting=accepting, transitions=raw_delta)
+            transitions[(sink, letter)] = frozenset([sink])
+    return BuchiAutomaton(ap=ap, letters=letters, states=tuple(states),
+                          initial=frozenset([0]), accepting=accepting,
+                          transitions=transitions)
 
 
 # ---------------------------------------------------------------------------

@@ -48,12 +48,10 @@ def _violation_graph(arena: Arena, psi: Formula, sources, caps: Caps):
     letter_of = [arena.labels[u] & ap for u in arena.positions]
     letters = sorted(set(letter_of), key=lambda s: tuple(sorted(s)))
     nba = ltl_to_nba(Not(psi), letters=letters, caps=caps)
-    # states numbered in str order keep searches (and witnesses) reproducible
-    states = sorted(nba.states, key=str)
-    q_id = {q: i for i, q in enumerate(states)}
-    nq = len(states)
-    reads = {(q_id[q], letter): sorted(q_id[q2] for q2 in targets)
-             for (q, letter), targets in nba.transitions.items()}
+    # ltl_to_nba numbers its states 0..n-1; sorted reads keep searches
+    # (and witnesses) reproducible
+    nq = len(nba.states)
+    reads = {key: sorted(targets) for key, targets in nba.transitions.items()}
     moves = [[arena.index(w) * nq for w in arena.successors(u)]
              for u in arena.positions]
 
@@ -61,12 +59,11 @@ def _violation_graph(arena: Arena, psi: Formula, sources, caps: Caps):
         u, q = divmod(node, nq)
         return [w + q2 for q2 in reads[(q, letter_of[u])] for w in moves[u]]
 
-    initial = sorted(q_id[q] for q in nba.initial)
-    seeds = [arena.index(u) * nq + q for u in sources for q in initial]
+    seeds = [arena.index(u) * nq + q for u in sources for q in sorted(nba.initial)]
     nodes, succ, parent = reachable(seeds, successors, caps.product_nodes,
                                     "marker product nodes")
     position = [arena.positions[node // nq] for node in nodes]
-    accepting = [states[node % nq] in nba.accepting for node in nodes]
+    accepting = [node % nq in nba.accepting for node in nodes]
     return position, accepting, succ, parent
 
 

@@ -19,7 +19,7 @@ from itertools import product as iproduct
 
 from .arena import Arena, Strategy
 from .errors import UnistratError
-from .formula import And, Atom, Formula, Next, Not, R, Until, r_depth
+from .formula import And, Atom, Const, Formula, Next, Not, R, Until, r_depth
 from .transducer import EPSILON, Transducer
 
 __all__ = [
@@ -74,7 +74,9 @@ def lasso_eval(stem, cycle, phi: Formula) -> bool:
     def compute(f: Formula):
         if f in values:
             return values[f]
-        if isinstance(f, Atom):
+        if isinstance(f, Const):
+            vals = [f.value] * total
+        elif isinstance(f, Atom):
             vals = [f.name in letters[k] for k in range(total)]
         elif isinstance(f, Not):
             sub = compute(f.sub)
@@ -331,7 +333,7 @@ class _Universe:
 
 
 def _is_present(f: Formula) -> bool:
-    if isinstance(f, Atom):
+    if isinstance(f, (Const, Atom)):
         return True
     if isinstance(f, Not):
         return _is_present(f.sub)
@@ -341,6 +343,8 @@ def _is_present(f: Formula) -> bool:
 
 
 def _present_value(f: Formula, labels) -> bool:
+    if isinstance(f, Const):
+        return f.value
     if isinstance(f, Atom):
         return f.name in labels
     if isinstance(f, Not):
@@ -595,7 +599,9 @@ def bounded_semantics(arena: Arena, t: Transducer, universe, pi, i: int,
     def compute(f: Formula):
         if f in pair_values:
             return pair_values[f]
-        if isinstance(f, Atom):
+        if isinstance(f, Const):
+            vals = [_TRUE if f.value else _FALSE] * count
+        elif isinstance(f, Atom):
             vals = [_TRUE if f.name in arena.labels[play_pos(kk)] else _FALSE
                     for kk in range(count)]
         elif isinstance(f, R):

@@ -85,7 +85,8 @@ def plays_up_to(arena: Arena, max_len: int):
 
 def lassos_of(arena: Arena, max_visits=2, limit=None):
     """Lassos (stem, cycle) over paths where no position occurs more than
-    max_visits times; small arenas only."""
+    max_visits times, a cycle closing at every earlier occurrence of the
+    repeated position; small arenas only."""
     lassos = []
     seen = set()
 
@@ -94,8 +95,9 @@ def lassos_of(arena: Arena, max_visits=2, limit=None):
         for v in arena.successors(last):
             if limit is not None and len(lassos) >= limit:
                 return
-            if v in path:
-                idx = path.index(v)
+            for idx, u in enumerate(path):
+                if u != v:
+                    continue
                 item = (tuple(path[:idx]), tuple(path[idx:]))
                 if item not in seen:
                     seen.add(item)

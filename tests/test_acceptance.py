@@ -288,7 +288,7 @@ def test_acceptance_4_elimination_transfer():
             inst.arena, inst.transducer, inst.phi)
         power = report_.power
         lassos = lassos_of(inst.arena, max_visits=1, limit=15)
-        lassos += [x for x in lassos_of(inst.arena, max_visits=2, limit=45)
+        lassos += [x for x in lassos_of(inst.arena, max_visits=2, limit=80)
                    if x not in lassos]
         for stem, cycle in lassos:
             want = bounded_semantics(inst.arena, inst.transducer, "all",

@@ -267,6 +267,22 @@ def test_dump_marking(g0_files, capsys):
     assert "atom @R0#" in stdout
     assert "rewritten: @R0#" in stdout
     assert "at v0|S=" in stdout
+    code, stdout, _ = run_cli(["dump", "marking", arena, fst, "[R] F p"], capsys)
+    assert code == 0
+    assert ":= [R] (true U p)" in stdout
+    assert "@true" not in stdout
+
+
+def test_dump_dead_end_arena_rejected(g0_files, tmp_path, capsys):
+    _, fst = g0_files
+    arena = tmp_path / "dead.arena"
+    arena.write_text(ARENA_G0.replace("edge v1 v0\n", ""))
+    for args in (["powerset", str(arena), fst],
+                 ["marking", str(arena), fst, "[R] G F p"]):
+        code, stdout, stderr = run_cli(["dump"] + args, capsys)
+        assert code == 2, args
+        assert "dead end: position 'v1' has no successor" in stderr
+        assert stdout == ""
 
 
 def test_dump_automaton_inline(capsys):
@@ -305,7 +321,7 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
     fst = tmp_path / "g.fst"
     arena.write_text(ARENA_G0)
     fst.write_text(FST_ID)
-    stdouts, strategies = set(), set()
+    stdouts, automata, strategies = set(), set(), set()
     import os
     for seed in ("0", "5", "1234"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -317,5 +333,12 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
         assert proc.returncode == 0
         stdouts.add(proc.stdout)
         strategies.add(out.read_text())
+        proc = subprocess.run(
+            [sys.executable, "-m", "unistrat.cli", "dump", "automaton",
+             "G F p & G F q & F G r"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        automata.add(proc.stdout)
     assert len(stdouts) == 1
+    assert len(automata) == 1
     assert len(strategies) == 1

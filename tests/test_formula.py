@@ -1,7 +1,7 @@
 import pytest
 
 from unistrat.errors import FormulaParseError, NameCollisionError
-from unistrat.formula import (And, Atom, Next, Not, R, Until, atoms,
+from unistrat.formula import (And, Atom, Const, Next, Not, R, Until, atoms,
                               depth1_r_subformulas, format_formula, parse,
                               r_depth, subformulas, substitute)
 
@@ -21,6 +21,20 @@ def test_parse_prognose_shape():
     f = parse("(!pf) W (!pf & [R] X pf)")
     assert r_depth(f) == 1
     assert depth1_r_subformulas(f) == [R(Next(Atom("pf")))]
+
+
+def test_constants_and_their_sugar():
+    assert parse("true") == Const(True)
+    assert parse("false") == Const(False)
+    assert parse("F p") == Until(Const(True), Atom("p"))
+    assert parse("G p") == Not(Until(Const(True), Not(Atom("p"))))
+    assert format_formula(parse("F p")) == "true U p"
+    assert r_depth(parse("[R] true")) == 1
+    assert subformulas(parse("X false")) == [Next(Const(False)), Const(False)]
+    assert substitute(parse("F [R] p"), R(Atom("p")), "x") == parse("F x")
+    for text in ("F p", "G p", "true", "!false", "p W q", "G F (p & X true)"):
+        f = parse(text)
+        assert parse(format_formula(f)) == f
 
 
 def test_diamond_is_negated_box():

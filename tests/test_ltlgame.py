@@ -54,6 +54,42 @@ def test_nba_matches_lasso_oracle(rng):
             assert nba.accepts_lasso(stem, cycle) == lasso_eval(stem, cycle, f)
 
 
+def test_nba_constants_match_lasso_oracle(rng):
+    for text in ("true", "false", "F false", "p U false", "false U p",
+                 "X false | q", "p & true", "!(q | true)", "G(p -> X true)",
+                 "(X true) U q", "G(p -> (false U q))", "F(p & !true) | G q"):
+        f = parse(text)
+        nba = ltl_to_nba(f)
+        for _ in range(20):
+            stem, cycle = rand_lasso(rng)
+            assert nba.accepts_lasso(stem, cycle) == lasso_eval(stem, cycle, f), text
+
+
+def test_nba_sizes():
+    assert len(ltl_to_nba(parse("G F p & G F q")).states) <= 8
+    assert len(ltl_to_nba(parse("G F p & G F q & F G r")).states) <= 16
+
+
+def test_nba_four_response_conjuncts(rng):
+    f = parse("G(p -> F q) & G(r -> F s) & G(t -> F u) & G F w")
+    nba = ltl_to_nba(f)
+    assert len(nba.states) <= 64
+    for _ in range(200):
+        stem, cycle = rand_lasso(rng, props=("p", "q", "r", "s", "t", "u", "w"))
+        assert nba.accepts_lasso(stem, cycle) == lasso_eval(stem, cycle, f)
+
+
+def test_nba_states_numbered_in_discovery_order():
+    nba = ltl_to_nba(parse("G p"))
+    n = len(nba.states)
+    assert nba.states == tuple(range(n))
+    assert nba.initial == frozenset([0])
+    sink = n - 1   # G p has no move on the empty letter: the sink is last
+    assert sink not in nba.accepting
+    for letter in nba.letters:
+        assert nba.transitions[(sink, letter)] == frozenset([sink])
+
+
 def test_nba_transitions_total():
     nba = ltl_to_nba(parse("p U q"))
     for q in nba.states:

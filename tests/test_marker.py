@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import lassos_of, make_branching, make_g0, random_arena
@@ -63,8 +65,7 @@ def test_satisfying_positions_matches_pointwise(rng):
     """satisfying_positions and trace_counterexample against lasso_eval on
     small random arenas: a satisfying position has no violating lasso among
     those enumerated from it, and any other position has a witness that is
-    a violating lasso from it.  (The enumeration alone is not complete: it
-    closes each cycle at the first occurrence of the repeated position.)"""
+    a violating lasso from it."""
     texts = ["F p", "G !p", "X p", "p U q", "G(p -> X !p)", "G F p",
              "F G q", "G F (p & q)", "G(p -> F q)"]
     for arena in [make_branching()] + [random_arena(rng, max_positions=6)
@@ -87,6 +88,25 @@ def test_satisfying_positions_matches_pointwise(rng):
                 assert cycle[0] in arena.successors(path[-1])
                 assert not lasso_eval([arena.labels[u] for u in stem],
                                       [arena.labels[u] for u in cycle], psi)
+
+
+def test_lassos_of_closes_cycles_at_every_occurrence():
+    """From v3 of this arena, G(p -> F q) fails only on traces that pass v3
+    again before entering the cycle v3 v4, so lassos_of finds one only if it
+    closes a cycle at every earlier occurrence of the repeated position."""
+    rng = random.Random(1)
+    for _ in range(39):
+        arena = random_arena(rng, max_positions=6)
+    psi = parse("G(p -> F q)")
+
+    def holds(stem, cycle):
+        return lasso_eval([arena.labels[u] for u in stem],
+                          [arena.labels[u] for u in cycle], psi)
+
+    assert not holds(*trace_counterexample(arena, "v3", psi))
+    lassos = lassos_of(_rooted_at(arena, "v3"))
+    assert (("v3", "v4", "v1", "v5"), ("v3", "v4")) in lassos
+    assert not holds(("v3", "v4", "v1", "v5"), ("v3", "v4"))
 
 
 def test_satisfying_positions_respects_product_cap():
