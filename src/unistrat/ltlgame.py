@@ -4,7 +4,8 @@ The pipeline turns a plain LTL objective into a nondeterministic Buchi word
 automaton (on-the-fly expansion of its negation normal form), then into
 a deterministic parity automaton (Safra/Piterman compact trees), builds the
 product with an arena, and solves the resulting parity game with Zielonka's
-recursion, extracting positional strategies.
+algorithm, extracting positional strategies.  Automaton states and game
+nodes are numbered once, by `graph.reachable`.
 
 Letters are sets of proposition names (frozensets).  Priorities use the
 min-even convention: the protagonist (player 0) wins a play iff the least
@@ -13,7 +14,6 @@ priority occurring infinitely often is even.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -372,17 +372,15 @@ def determinize(nba: BuchiAutomaton, caps: Caps = DEFAULT_CAPS) -> ParityAutomat
     turning green (all members re-confirmed accepting since its creation)
     gives 2i, the death of node i gives 2i - 1, and a quiet step gives the
     neutral odd value 2n + 1.  The priority is attached to the target state.
+    States are numbered 0..n-1 in breadth-first order, the initial one 0.
     """
     n = len(nba.states)
     neutral = 2 * n + 1
-    move = {}
-    for (q, letter), tgt in nba.transitions.items():
-        move[(q, letter)] = tgt
 
     def delta_set(states, letter):
         out = set()
         for q in states:
-            out |= move[(q, letter)]
+            out |= nba.transitions[(q, letter)]
         return out
 
     def tree_step(enc, letter):
@@ -467,37 +465,37 @@ def determinize(nba: BuchiAutomaton, caps: Caps = DEFAULT_CAPS) -> ParityAutomat
         tree0 = _encode_tree({1: (frozenset(nba.initial), ())}, 1)
     else:
         tree0 = _EMPTY_TREE
-    init_state = (tree0, neutral)
-    states = [init_state]
-    seen = {init_state}
-    delta = {}
-    priority = {init_state: neutral}
     tree_cache = {}
-    queue = deque([init_state])
-    while queue:
-        state = queue.popleft()
-        tree, _ = state
+
+    def successors(state):
+        out = []
         for letter in nba.letters:
-            key = (tree, letter)
+            key = (state[0], letter)
             if key not in tree_cache:
-                tree_cache[key] = tree_step(tree, letter)
-            tgt = tree_cache[key]
-            delta[(state, letter)] = tgt
-            if tgt not in seen:
-                seen.add(tgt)
-                priority[tgt] = tgt[1]
-                states.append(tgt)
-                queue.append(tgt)
-                if len(states) > caps.dpa_states:
-                    raise CapExceeded("parity automaton states", len(states), caps.dpa_states)
-    return ParityAutomaton(nba.ap, nba.letters, states, init_state, delta, priority)
+                tree_cache[key] = tree_step(state[0], letter)
+            out.append(tree_cache[key])
+        return out
+
+    # a state is a (tree, priority) pair
+    states, succ, _ = reachable([(tree0, neutral)], successors, caps.dpa_states,
+                                "parity automaton states")
+    delta = {(i, letter): j for i, row in enumerate(succ)
+             for letter, j in zip(nba.letters, row)}
+    priority = {i: pri for i, (_, pri) in enumerate(states)}
+    return ParityAutomaton(nba.ap, nba.letters, range(len(states)), 0, delta, priority)
 
 
 # ---------------------------------------------------------------------------
 # Parity games
 
 class ParityGame:
-    """Finite two-player min-even parity game."""
+    """Finite two-player min-even parity game.
+
+    A game from `build_product_game` has the nodes 0..n-1, the initial
+    node 0, and pairs[i], the (position, DPA state) of node i.
+    """
+
+    pairs: tuple = ()
 
     def __init__(self, nodes, owner, succ, priority, initial):
         self.nodes = tuple(nodes)
@@ -513,7 +511,9 @@ class ParityGame:
 def build_product_game(arena: Arena, dpa: ParityAutomaton, protagonist: int,
                        caps: Caps = DEFAULT_CAPS) -> ParityGame:
     """Arena x DPA product; the automaton reads the label of each position
-    as it is entered, the initial position included."""
+    as it is entered, the initial position included.  The (position, DPA
+    state) pairs are numbered in breadth-first order by `graph.reachable`.
+    """
     ap = frozenset(dpa.ap)
     letter_set = set(dpa.letters)
 
@@ -523,35 +523,34 @@ def build_product_game(arena: Arena, dpa: ParityAutomaton, protagonist: int,
             raise EncodingError(f"unlabeled letter {sorted(letter)} at position {v!r}")
         return dpa.delta[(q, letter)]
 
-    init = (arena.initial, read(dpa.initial, arena.initial))
-    order = {init: None}
-    succ = {}
-    queue = deque([init])
-    while queue:
-        node = queue.popleft()
-        v, q = node
-        targets = []
-        for v2 in arena.successors(v):
-            tgt = (v2, read(q, v2))
-            targets.append(tgt)
-            if tgt not in order:
-                order[tgt] = None
-                queue.append(tgt)
-                if len(order) > caps.product_nodes:
-                    raise CapExceeded("product game nodes", len(order), caps.product_nodes)
-        succ[node] = targets
-    nodes = list(order)
-    owner = {node: 0 if arena.owner[node[0]] == protagonist else 1 for node in nodes}
-    priority = {node: dpa.priority[node[1]] for node in nodes}
-    return ParityGame(nodes, owner, succ, priority, init)
+    def successors(pair):
+        v, q = pair
+        targets = arena.successors(v)
+        if not targets:
+            raise EncodingError(f"dead end: position {v!r} has no successor")
+        return [(v2, read(q, v2)) for v2 in targets]
+
+    pairs, succ, _ = reachable([(arena.initial, read(dpa.initial, arena.initial))],
+                               successors, caps.product_nodes, "product game nodes")
+    game = ParityGame(
+        range(len(pairs)),
+        {i: 0 if arena.owner[v] == protagonist else 1 for i, (v, _) in enumerate(pairs)},
+        dict(enumerate(succ)),
+        {i: dpa.priority[q] for i, (_, q) in enumerate(pairs)},
+        0)
+    game.pairs = tuple(pairs)
+    return game
 
 
 def solve_parity(game: ParityGame):
-    """Zielonka's recursive algorithm with positional strategy extraction.
+    """Zielonka's algorithm with positional strategy extraction.
 
     Returns (winner, strategies): winner maps every node to 0 or 1;
     strategies[p] maps each p-owned node of p's region to its chosen
-    successor.
+    successor.  The recursion on the game minus the opponent's trap is a
+    tail call and runs as a loop; the one remaining call sees only
+    priorities above the least one, so calls nest at most once per
+    distinct priority.
     """
     node_order = {v: i for i, v in enumerate(game.nodes)}
     pred = {v: [] for v in game.nodes}
@@ -583,48 +582,36 @@ def solve_parity(game: ParityGame):
         return attr, strat
 
     def solve(nodes):
-        if not nodes:
-            return set(), set(), {}, {}
-        p = min(game.priority[v] for v in nodes)
-        player = p % 2
-        targets = [v for v in game.nodes if v in nodes and game.priority[v] == p]
-        region, astrat = attractor(nodes, targets, player)
-        w0, w1, s0, s1 = solve(nodes - region)
-        wins = (w0, w1)
-        strats = (s0, s1)
-        if not wins[1 - player]:
-            mine = dict(strats[player])
-            mine.update(astrat)
-            for v in targets:
-                if game.owner[v] == player and v not in mine:
-                    mine[v] = next(u for u in game.succ[v] if u in nodes)
-            if player == 0:
-                return set(nodes), set(), mine, {}
-            return set(), set(nodes), {}, mine
-        trap, bstrat = attractor(nodes, wins[1 - player], 1 - player)
-        w0b, w1b, s0b, s1b = solve(nodes - trap)
-        winsb = (w0b, w1b)
-        stratsb = (s0b, s1b)
-        other = dict(stratsb[1 - player])
-        other.update(bstrat)
-        other.update({v: t for v, t in strats[1 - player].items()
-                      if v in wins[1 - player]})
-        mine = dict(stratsb[player])
-        if player == 0:
-            return w0b, w1b | trap, mine, other
-        return w0b | trap, w1b, other, mine
+        """Per player, the winning region in the subgame on nodes and a
+        strategy defined exactly on that region's nodes the player owns."""
+        wins, strats = (set(), set()), ({}, {})
+        while nodes:
+            p = min(game.priority[v] for v in nodes)
+            player, opponent = p % 2, 1 - p % 2
+            targets = [v for v in game.nodes if v in nodes and game.priority[v] == p]
+            region, astrat = attractor(nodes, targets, player)
+            sub_wins, sub_strats = solve(nodes - region)
+            if not sub_wins[opponent]:
+                wins[player].update(nodes)
+                mine = strats[player]
+                mine.update(sub_strats[player])
+                mine.update(astrat)
+                for v in targets:
+                    if game.owner[v] == player:
+                        mine[v] = next(u for u in game.succ[v] if u in nodes)
+                return wins, strats
+            # the opponent wins its attractor to its subgame region; solve the rest
+            trap, bstrat = attractor(nodes, sub_wins[opponent], opponent)
+            wins[opponent].update(trap)
+            strats[opponent].update(bstrat)
+            strats[opponent].update(sub_strats[opponent])
+            nodes = nodes - trap
+        return wins, strats
 
-    # the recursion nests once per removed attractor; the raised limit is
-    # restored so solving leaves no interpreter state behind
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 10000 + 4 * len(game.nodes)))
-    try:
-        w0, w1, s0, s1 = solve(set(game.nodes))
-    finally:
-        sys.setrecursionlimit(limit)
-    winner = {v: 0 for v in w0}
-    winner.update({v: 1 for v in w1})
-    return winner, {0: s0, 1: s1}
+    wins, strats = solve(set(game.nodes))
+    winner = {v: 0 for v in wins[0]}
+    winner.update({v: 1 for v in wins[1]})
+    return winner, {0: strats[0], 1: strats[1]}
 
 
 def solve_ltl_game(arena: Arena, psi: Formula, protagonist: int,
@@ -645,28 +632,21 @@ def solve_ltl_game(arena: Arena, psi: Formula, protagonist: int,
     winner, strategies = solve_parity(game)
     if winner[game.initial] != 0:
         return None
-    choice_map = strategies[0]
+    choice_map, pairs = strategies[0], game.pairs
 
-    def read(q, v):
-        return dpa.delta[(q, arena.labels[v] & ap)]
+    def moves(i):
+        return [choice_map[i]] if game.owner[i] == 0 else game.succ[i]
 
-    m0 = dpa.initial
-    update = {(m0, arena.initial): game.initial[1]}
+    # walked breadth-first: written memory names follow first appearance
+    ids, succ, _ = reachable([game.initial], moves)
+    v0, q0 = pairs[game.initial]
+    update = {(dpa.initial, v0): q0}
     choice = {}
-    seen = {game.initial}
-    queue = deque([game.initial])
-    while queue:
-        node = queue.popleft()
-        v, q = node
-        if arena.owner[v] == protagonist:
-            target = choice_map[node]
-            choice[(q, v)] = target[0]
-            targets = [target]
-        else:
-            targets = [(v2, read(q, v2)) for v2 in arena.successors(v)]
-        for tgt in targets:
-            update[(q, tgt[0])] = tgt[1]
-            if tgt not in seen:
-                seen.add(tgt)
-                queue.append(tgt)
-    return Strategy(protagonist, m0, update, choice, name="ltl-game-strategy")
+    for i, targets in zip(ids, succ):
+        v, q = pairs[i]
+        if game.owner[i] == 0:
+            choice[(q, v)] = pairs[choice_map[i]][0]
+        for j in targets:
+            v2, q2 = pairs[ids[j]]
+            update[(q, v2)] = q2
+    return Strategy(protagonist, dpa.initial, update, choice, name="ltl-game-strategy")

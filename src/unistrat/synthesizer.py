@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .arena import Arena, Strategy, outcome_arena, validate
 from .errors import CapExceeded, EncodingError
 from .formula import Formula, r_depth
+from .graph import reachable
 from .ltlgame import Caps, DEFAULT_CAPS, solve_ltl_game
 from .marker import eliminate_r, trace_counterexample
 from .transducer import Transducer, compose, play_projection_transducers, restrict_to_plays, trim
@@ -178,9 +179,11 @@ def pullback_strategy(product_strategy: Strategy, chain: list) -> Strategy:
     return Strategy(player, m0, update, choice, name=product_strategy.name + "~pulled")
 
 
-def _monitored_outcome(outcome: Arena, chain: list, final_arena: Arena) -> Arena:
+def _monitored_outcome(outcome: Arena, chain: list, final_arena: Arena,
+                       caps: Caps) -> Arena:
     """Product of an outcome arena with the lifted-position tracking of a
-    power chain; labels come from the (marked) final arena."""
+    power chain, reachable from the initial pair and capped by
+    `caps.product_nodes`; labels come from the (marked) final arena."""
     if not chain:
         return outcome
 
@@ -196,25 +199,17 @@ def _monitored_outcome(outcome: Arena, chain: list, final_arena: Arena) -> Arena
             x = power.step(layers[k], x)
         return x
 
-    init = (outcome.initial, final_arena.initial)
-    order = {init: None}
-    edges = []
-    stack = [init]
-    while stack:
-        node = stack.pop()
+    def successors(node):
         o, g = node
-        for o2 in outcome.successors(o):
-            node2 = (o2, chain_step(g, o2[0]))
-            edges.append((node, node2))
-            if node2 not in order:
-                order[node2] = None
-                stack.append(node2)
-    nodes = list(order)
+        return [(o2, chain_step(g, o2[0])) for o2 in outcome.successors(o)]
+
+    nodes, succ, _ = reachable([(outcome.initial, final_arena.initial)], successors,
+                               caps.product_nodes, "monitored outcome nodes")
     return Arena(
         positions=nodes,
         owner={n: outcome.owner[n[0]] for n in nodes},
-        edges=edges,
-        initial=init,
+        edges=[(node, nodes[j]) for node, row in zip(nodes, succ) for j in row],
+        initial=nodes[0],
         labels={n: final_arena.labels[n[1]] for n in nodes},
         name=f"{outcome.name}@{final_arena.name}",
     )
@@ -235,7 +230,7 @@ def check_uniform(inst: FusInstance, sigma: Strategy, mode: str,
         final_arena, _, phi_n, chain, _ = _eliminate_all(
             inst.arena, inst.transducer, inst.phi, caps)
         outcome = outcome_arena(inst.arena, sigma)
-        monitored = _monitored_outcome(outcome, chain, final_arena)
+        monitored = _monitored_outcome(outcome, chain, final_arena, caps)
 
         def original(node):
             if not chain:

@@ -3,7 +3,11 @@ import sys
 
 import pytest
 
+from conftest import make_g0
+from unistrat.arena import format_strategy
 from unistrat.cli import main
+from unistrat.formula import parse
+from unistrat.ltlgame import solve_ltl_game
 
 ARENA_G0 = """arena G0
 pos v0 owner=1 labels=p
@@ -314,6 +318,50 @@ def test_solve_then_check_written_strategy(g0_files, tmp_path, capsys):
         capsys)
     assert code == 0
     assert "verdict=uniform" in stdout
+
+
+def test_written_strategy_bytes_pinned(tmp_path, capsys):
+    # memory elements are automaton states (and, after pullback, tuples
+    # holding them); the written names must not depend on how they are built
+    sigma = solve_ltl_game(make_g0(), parse("G(p -> X !p)"), 1)
+    assert format_strategy(sigma) == (
+        "strategy player=1 memory=m0,m1,m2 init=m0\n"
+        "upd m0 v0 -> m1\n"
+        "upd m1 v1 -> m2\n"
+        "upd m2 v0 -> m1\n"
+        "choose m1 v0 -> v1\n")
+    des = tmp_path / "m.des"
+    des.write_text(DES_DIAGNOSABLE)
+    prefix = str(tmp_path / "diag")
+    out = tmp_path / "diag.strategy"
+    assert run_cli(["encode", "diag", str(des), "--out-prefix", prefix], capsys)[0] == 0
+    code, _, _ = run_cli(
+        ["solve", prefix + ".arena", prefix + ".fst", "--formula-file",
+         prefix + ".formula", "--no-restrict", "--out", str(out)], capsys)
+    assert code == 0
+    assert out.read_text() == """\
+strategy player=1 memory=m0,m1,m10,m11,m12,m2,m3,m4,m5,m6,m7,m8,m9 init=m0
+upd m0 (-,s0) -> m1
+upd m1 >(f,s2) -> m2
+upd m1 >(u,s1) -> m10
+upd m10 (u,s1) -> m11
+upd m11 >(u,s1) -> m12
+upd m12 (u,s1) -> m11
+upd m2 (f,s2) -> m3
+upd m3 >(o,s2) -> m4
+upd m4 (o,s2) -> m5
+upd m5 >(o,s2) -> m6
+upd m6 (o,s2) -> m7
+upd m7 >(o,s2) -> m8
+upd m8 (o,s2) -> m9
+upd m9 >(o,s2) -> m8
+choose m10 >(u,s1) -> (u,s1)
+choose m12 >(u,s1) -> (u,s1)
+choose m2 >(f,s2) -> (f,s2)
+choose m4 >(o,s2) -> (o,s2)
+choose m6 >(o,s2) -> (o,s2)
+choose m8 >(o,s2) -> (o,s2)
+"""
 
 
 def test_outputs_stable_across_hash_seeds(tmp_path):

@@ -1,11 +1,12 @@
 import itertools
+import random
 import sys
 
 import pytest
 
 from conftest import lassos_of, make_branching, make_g0
-from unistrat.arena import outcome_arena
-from unistrat.errors import CapExceeded
+from unistrat.arena import Arena, outcome_arena
+from unistrat.errors import CapExceeded, EncodingError
 from unistrat.formula import Atom, And, Next, Not, Until, parse
 from unistrat.ltlgame import (Caps, ParityGame, all_letters,
                               build_product_game, determinize, ltl_to_nba,
@@ -224,12 +225,12 @@ def brute_force_winner0(game):
     return win0
 
 
-def random_game(rng, max_nodes=7):
-    n = rng.randint(2, max_nodes)
+def random_game(rng, max_nodes=7, min_nodes=2, priorities=4):
+    n = rng.randint(min_nodes, max_nodes)
     nodes = list(range(n))
     owner = {v: rng.randint(0, 1) for v in nodes}
     succ = {v: rng.sample(nodes, rng.randint(1, min(2, n))) for v in nodes}
-    pri = {v: rng.randint(0, 3) for v in nodes}
+    pri = {v: rng.randint(0, priorities - 1) for v in nodes}
     return ParityGame(nodes, owner, succ, pri, 0)
 
 
@@ -319,14 +320,35 @@ def test_solve_ltl_game_examples():
     assert sigma is not None
 
 
-def test_solve_ltl_game_leaves_recursion_limit_alone():
+def test_solve_ltl_game_leaves_recursion_limit_alone(monkeypatch):
+    # calls nest once per distinct priority, so a large game with few
+    # priorities solves under the default limit, which stays untouched
     saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
+    set_limit = sys.setrecursionlimit
+
+    def refuse(limit):
+        raise AssertionError(f"solving set the recursion limit to {limit}")
+
+    set_limit(1000)
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     try:
         assert solve_ltl_game(make_g0(), parse("G(p -> X !p)"), 1) is not None
+        game = random_game(random.Random(5), min_nodes=5000, max_nodes=5000,
+                           priorities=6)
+        assert len(set(game.priority.values())) == 6
+        winner, _ = solve_parity(game)
+        assert set(winner) == set(game.nodes)
         assert sys.getrecursionlimit() == 1000
     finally:
-        sys.setrecursionlimit(saved)
+        set_limit(saved)
+
+
+def test_solve_ltl_game_rejects_dead_end():
+    arena = Arena(["v0", "v1"], {"v0": 1, "v1": 2}, [("v0", "v1")], "v0",
+                  {"v0": {"p"}})
+    with pytest.raises(EncodingError) as info:
+        solve_ltl_game(arena, parse("G F p"), 1)
+    assert str(info.value) == "dead end: position 'v1' has no successor"
 
 
 def test_solve_ltl_game_strategy_outcomes_satisfy_objective(rng):
