@@ -135,17 +135,17 @@ def eliminate_r(arena: Arena, t, phi: Formula, caps: Caps = DEFAULT_CAPS):
     level of R nesting, plus the marking report.
 
     G' is the power arena relabelled with a fresh proposition per depth-one
-    [R] subformula; T' is the lifted relation; phi' substitutes the fresh
-    propositions in.  The relation of t must be restricted to play pairs.
+    [R] subformula; T' is the lifted relation, a view the next round
+    explores on demand; phi' substitutes the fresh propositions in.  The
+    relation of t must be restricted to play pairs.
     """
     from .powerset import build_power_arena, lift_transducer
-    from .transducer import trim
 
     if r_depth(phi) < 1:
         raise ValueError("eliminate_r needs a formula with at least one R")
     targets = depth1_r_subformulas(phi)
     power = build_power_arena(arena, t, cap=caps.power_positions)
-    lifted = trim(lift_transducer(t, power))
+    lifted = lift_transducer(t, power)
 
     used = set(atoms(phi)) | set(arena.propositions)
     atom_sources: dict = {}

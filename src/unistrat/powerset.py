@@ -8,7 +8,10 @@ the union of last outputs over accepting states; it equals the set of
 endpoints of related plays.
 
 The construction is reachable-only and hash-conses power positions, so the
-astronomically large full space is never materialized.
+astronomically large full space is never materialized.  A relation is read
+only through `initial`, `accepting`, `state_index` and `transitions_from`,
+so the same code runs on a `Transducer` and on the `LiftedRelation` view
+that carries it over to power plays for the next round.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ from dataclasses import dataclass, field
 
 from .arena import Arena
 from .errors import CapExceeded
-from .transducer import EPSILON, Transducer, compose, play_projection_transducers
+from .graph import reachable
+from .transducer import EPSILON, Transducer
 
 __all__ = [
     "PowerPosition", "PowerArena", "power_step", "build_power_arena",
-    "info_set_bruteforce", "lift_transducer",
+    "info_set_bruteforce", "LiftedRelation", "lift_transducer",
 ]
 
 _INHERIT = object()  # closure marker: nothing written yet on this run
@@ -240,15 +244,89 @@ def info_set_bruteforce(arena: Arena, t: Transducer, rho) -> frozenset:
     return frozenset(out)
 
 
-def lift_transducer(t: Transducer, power: PowerArena) -> Transducer:
-    """Transport the relation to power plays: project down, relate, lift up.
+class _Accepting:
+    """Accepting states of a lifted relation: t accepts and both tapes
+    hold a nonempty power play."""
 
-    The down transducer deterministically maps a power play to its
-    underlying play; the up transducer maps an underlying play to its
-    unique power play by threading the deterministic successor map through
-    its own state.
+    __slots__ = ("_accepting",)
+
+    def __init__(self, accepting):
+        self._accepting = accepting
+
+    def __contains__(self, state):
+        d, q, u = state
+        return d >= 0 and u >= 0 and q in self._accepting
+
+
+class LiftedRelation:
+    """The relation of t carried over to power plays, explored on demand.
+
+    It relates two power plays iff t relates their underlying plays: the
+    composition down . t . up, where down projects a power play to its play
+    and up lifts a play to its unique power play.  Both are deterministic,
+    so a state (d, q, u) pairs a state q of t with the numbers, in
+    `power.arena.positions`, of the last power position read (d) and
+    written (u); -1 stands for the pre-initial summary, before the first.
+    Each state's moves are computed, and their targets numbered in
+    `state_index`, when `transitions_from` first asks for them; `len`
+    explores every reachable state once and remembers the count.  The view
+    is trim whenever t is trimmed and restricted to pairs of plays.
     """
-    t_down, t_up = play_projection_transducers(
-        power.arena, lambda p: p.v,
-        plain_alphabet=power.source.positions)
-    return compose(compose(t_down, t, name="down.t"), t_up, name="lift")
+
+    def __init__(self, t, power: PowerArena):
+        self.t = t
+        self.power = power
+        self.initial = (-1, t.initial, -1)
+        self.accepting = _Accepting(t.accepting)
+        self.state_index = {self.initial: 0}
+        self._moves: dict = {}
+        self._step = None
+        self._size = None
+
+    def _numbered_step(self) -> dict:
+        """(number of power position, next position) -> number of its
+        successor, with -1 for the pre-initial summary."""
+        ids = {p: i for i, p in enumerate(self.power.arena.positions)}
+        ids[self.power.pre_initial] = -1
+        return {(ids[p], v): ids[p2] for (p, v), p2 in self.power._step.items()}
+
+    def transitions_from(self, state):
+        moves = self._moves.get(state)
+        if moves is not None:
+            return moves
+        if self._step is None:
+            self._step = self._numbered_step()
+        step, index = self._step, self.state_index
+        positions = self.power.arena.positions
+        d, q, u = state
+        out = []
+        for a, b, q2 in self.t.transitions_from(q):
+            d2, u2 = d, u
+            if a is not EPSILON:
+                d2 = step.get((d, a))
+                if d2 is None:
+                    continue
+            if b is not EPSILON:
+                u2 = step.get((u, b))
+                if u2 is None:
+                    continue
+            target = (d2, q2, u2)
+            index.setdefault(target, len(index))
+            out.append((EPSILON if a is EPSILON else positions[d2],
+                        EPSILON if b is EPSILON else positions[u2], target))
+        moves = self._moves[state] = tuple(out)
+        return moves
+
+    def __len__(self):
+        if self._size is None:
+            nodes, _, _ = reachable(
+                [self.initial],
+                lambda s: [q2 for _, _, q2 in self.transitions_from(s)])
+            self._size = len(nodes)
+        return self._size
+
+
+def lift_transducer(t, power: PowerArena) -> LiftedRelation:
+    """Transport the relation of t to plays of the power arena, as a view
+    computed on demand (see `LiftedRelation`)."""
+    return LiftedRelation(t, power)

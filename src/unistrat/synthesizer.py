@@ -95,11 +95,12 @@ class CheckResult:
 def _eliminate_all(arena, transducer, phi, caps):
     """Run elimination rounds until the formula is plain LTL.
 
-    Returns (final arena, final transducer, final formula, power chain,
-    trace), where the trace records the sizes before each round and after
-    the last one.
+    Returns (rounds, chain): rounds lists the (arena, relation, formula)
+    triple before each round and after the last one, chain the power
+    arena of each round.  Each lifted relation is a view that only the
+    next round explores, so nothing here counts its states.
     """
-    trace = [IterationStats(len(arena), len(transducer), r_depth(phi))]
+    rounds = [(arena, transducer, phi)]
     chain = []
     while r_depth(phi) > 0:
         try:
@@ -108,18 +109,21 @@ def _eliminate_all(arena, transducer, phi, caps):
             raise CapExceeded(exc.what, exc.size, exc.cap,
                               iteration=len(chain) + 1) from None
         chain.append(report.power)
-        trace.append(IterationStats(len(arena), len(transducer), r_depth(phi)))
-    return arena, transducer, phi, chain, trace
+        rounds.append((arena, transducer, phi))
+    return rounds, chain
 
 
 def synthesize_fully_uniform(inst: FusInstance, caps: Caps = DEFAULT_CAPS) -> SynthesisResult:
     """Decide the fully-uniform strategy problem and extract a witness.
 
     Per-iteration sizes are recorded so callers can observe the tower of
-    exponentials instead of timing it.
+    exponentials instead of timing it; the trace holds only these counts,
+    so a result keeps no power arena alive.
     """
-    arena, _, phi, chain, trace = _eliminate_all(
-        inst.arena, inst.transducer, inst.phi, caps)
+    rounds, chain = _eliminate_all(inst.arena, inst.transducer, inst.phi, caps)
+    trace = [IterationStats(len(arena), len(relation), r_depth(phi))
+             for arena, relation, phi in rounds]
+    arena, _, phi = rounds[-1]
     strategy_hat = solve_ltl_game(arena, phi, inst.protagonist, caps=caps)
     if strategy_hat is None:
         return SynthesisResult("not_exists", None, trace)
@@ -227,8 +231,8 @@ def check_uniform(inst: FusInstance, sigma: Strategy, mode: str,
     if mode not in ("strict", "full"):
         raise ValueError("mode must be 'strict' or 'full'")
     if mode == "full":
-        final_arena, _, phi_n, chain, _ = _eliminate_all(
-            inst.arena, inst.transducer, inst.phi, caps)
+        rounds, chain = _eliminate_all(inst.arena, inst.transducer, inst.phi, caps)
+        final_arena, _, phi_n = rounds[-1]
         outcome = outcome_arena(inst.arena, sigma)
         monitored = _monitored_outcome(outcome, chain, final_arena, caps)
 
@@ -241,8 +245,8 @@ def check_uniform(inst: FusInstance, sigma: Strategy, mode: str,
         t_down, t_up = play_projection_transducers(
             outcome, lambda o: o[0], plain_alphabet=inst.arena.positions)
         pruned_relation = trim(compose(compose(t_down, inst.transducer), t_up))
-        monitored, _, phi_n, chain, _ = _eliminate_all(
-            outcome, pruned_relation, inst.phi, caps)
+        rounds, chain = _eliminate_all(outcome, pruned_relation, inst.phi, caps)
+        monitored, _, phi_n = rounds[-1]
 
         def original(node):
             x = node

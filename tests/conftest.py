@@ -1,10 +1,13 @@
 """Shared helpers: randomized instances and tiny independent oracles."""
 
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import unistrat
 from unistrat.arena import Arena, Strategy
 from unistrat.transducer import EPSILON, Transducer
 
@@ -51,7 +54,7 @@ def random_transducer(rng: random.Random, alphabet, max_states=5):
     k = rng.randint(1, max_states)
     states = [f"q{i}" for i in range(k)]
     accepting = rng.sample(states, rng.randint(1, k))
-    symbols = list(alphabet)
+    symbols = sorted(alphabet, key=str)
     transitions = []
     for _ in range(rng.randint(k, 3 * k)):
         a = rng.choice(symbols + [EPSILON])
@@ -107,6 +110,15 @@ def lassos_of(arena: Arena, max_visits=2, limit=None):
 
     walk([arena.initial])
     return lassos
+
+
+def child_env(*paths, **variables):
+    """Environment for a child interpreter that imports this unistrat (and
+    the given paths) however the test run found it, plus the variables."""
+    path = [*map(str, paths), str(Path(unistrat.__file__).parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                **variables)
 
 
 @pytest.fixture

@@ -4,11 +4,14 @@ against independent oracles, within fixed wall-clock budgets."""
 
 import itertools
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from conftest import (lassos_of, make_branching, make_g0,
+from conftest import (child_env, lassos_of, make_branching, make_g0,
                       positional_strategies, plays_up_to, random_arena,
                       random_transducer)
 from unistrat.arena import Arena, Strategy, outcome_arena
@@ -67,6 +70,22 @@ def sampled_instances(seed, count=50):
     return out
 
 
+def test_sampled_instances_independent_of_hash_seed():
+    """Acceptance 1 and 2 must check the same instances on every run."""
+    script = ("from test_acceptance import sampled_instances\n"
+              "from unistrat.transducer import format_transducer\n"
+              "for _, t in sampled_instances(11, 50):\n"
+              "    print(format_transducer(t))\n")
+    texts = set()
+    for seed in ("2", "34"):
+        env = child_env(Path(__file__).parent, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        texts.add(proc.stdout)
+    assert len(texts) == 1
+
+
 def test_acceptance_1_information_sets():
     start = time.time()
     instances = sampled_instances(11, count=50)
@@ -87,7 +106,7 @@ def test_acceptance_2_transducer_lift():
     pairs = 0
     for arena, t in instances:
         power = build_power_arena(arena, t, cap=200000)
-        lifted = trim(lift_transducer(t, power))
+        lifted = lift_transducer(t, power)
         plays = plays_up_to(arena, 4)
         lifts = {p: power.lift_play(p) for p in plays}
         for r1, r2 in itertools.product(plays, repeat=2):

@@ -3,11 +3,12 @@ import sys
 
 import pytest
 
-from conftest import make_g0
-from unistrat.arena import format_strategy
+from conftest import child_env, make_branching, make_g0
+from unistrat.arena import format_arena, format_strategy
 from unistrat.cli import main
 from unistrat.formula import parse
 from unistrat.ltlgame import solve_ltl_game
+from unistrat.transducer import format_transducer, length_transducer
 
 ARENA_G0 = """arena G0
 pos v0 owner=1 labels=p
@@ -302,7 +303,7 @@ def test_dump_automaton_inline(capsys):
 
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "unistrat.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "solve" in proc.stdout
 
@@ -369,10 +370,15 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
     fst = tmp_path / "g.fst"
     arena.write_text(ARENA_G0)
     fst.write_text(FST_ID)
+    # depth two: the second round builds its power arena from a lifted view
+    branching = tmp_path / "b.arena"
+    length = tmp_path / "b.fst"
+    branching.write_text(format_arena(make_branching()))
+    length.write_text(format_transducer(length_transducer(make_branching().positions)))
     stdouts, automata, strategies = set(), set(), set()
-    import os
+    deep_stdouts, deep_strategies = set(), set()
     for seed in ("0", "5", "1234"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = child_env(PYTHONHASHSEED=seed)
         out = tmp_path / f"s{seed}.strategy"
         proc = subprocess.run(
             [sys.executable, "-m", "unistrat.cli", "solve", str(arena),
@@ -381,6 +387,15 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
         assert proc.returncode == 0
         stdouts.add(proc.stdout)
         strategies.add(out.read_text())
+        deep = tmp_path / f"d{seed}.strategy"
+        proc = subprocess.run(
+            [sys.executable, "-m", "unistrat.cli", "solve", str(branching),
+             str(length), "F [R] G <R> !p", "--out", str(deep)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert "iter2.fst=" in proc.stdout
+        deep_stdouts.add(proc.stdout)
+        deep_strategies.add(deep.read_text())
         proc = subprocess.run(
             [sys.executable, "-m", "unistrat.cli", "dump", "automaton",
              "G F p & G F q & F G r"],
@@ -390,3 +405,5 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
     assert len(stdouts) == 1
     assert len(automata) == 1
     assert len(strategies) == 1
+    assert len(deep_stdouts) == 1
+    assert len(deep_strategies) == 1

@@ -8,9 +8,11 @@ from unistrat.arena import Arena
 from unistrat.errors import CapExceeded
 from unistrat.powerset import (build_power_arena, info_set_bruteforce,
                                lift_transducer, power_step)
-from unistrat.transducer import (EPSILON, Transducer, identity_transducer,
-                                 length_transducer, recognizes,
-                                 restrict_to_plays, trim)
+from unistrat.graph import reachable
+from unistrat.transducer import (EPSILON, Transducer, compose,
+                                 identity_transducer, length_transducer,
+                                 play_projection_transducers, recognizes,
+                                 restrict_to_plays, trim, union)
 
 
 def restricted(t, arena):
@@ -188,7 +190,7 @@ def test_lift_identity_relates_lifted_to_itself():
     g0 = make_g0()
     t = restricted(identity_transducer(g0.positions), g0)
     power = build_power_arena(g0, t)
-    lifted = trim(lift_transducer(t, power))
+    lifted = lift_transducer(t, power)
     for play in plays_up_to(g0, 4):
         hat = power.lift_play(play)
         assert recognizes(lifted, hat, hat)
@@ -205,10 +207,60 @@ def test_lift_size_bound_and_relation(rng):
         power = build_power_arena(arena, t)
         lifted = lift_transducer(t, power)
         bound = (len(power.arena) + 1) * len(t.states) * (len(power.arena) + 1)
-        assert len(lifted.states) <= bound
-        lifted = trim(lifted)
+        assert len(lifted) <= bound
         plays = plays_up_to(arena, 3)
         for r1, r2 in itertools.product(plays, repeat=2):
             want = recognizes(t, r1, r2)
             got = recognizes(lifted, power.lift_play(r1), power.lift_play(r2))
             assert got == want
+
+
+def composed_lift(t, power):
+    """Reference lift: down . t . up materialized by two compositions and
+    trimmed, down and up being the play projection transducers."""
+    t_down, t_up = play_projection_transducers(
+        power.arena, lambda p: p.v, plain_alphabet=power.source.positions)
+    return trim(compose(compose(t_down, t), t_up))
+
+
+def materialized(view, alphabet):
+    """The reachable part of a lifted view as a Transducer over alphabet."""
+    states, _, _ = reachable([view.initial],
+                             lambda s: [s2 for _, _, s2 in view.transitions_from(s)])
+    transitions = [(s, a, b, s2) for s in states
+                   for a, b, s2 in view.transitions_from(s)]
+    return Transducer(states, alphabet, alphabet, view.initial,
+                      [s for s in states if s in view.accepting], transitions)
+
+
+def seeded_relations(rng, count):
+    """Arenas with the length relation and with identity plus a random
+    transducer, both restricted to plays."""
+    for _ in range(count):
+        arena = random_arena(rng, max_positions=6)
+        positions = frozenset(arena.positions)
+        yield arena, restricted(length_transducer(positions), arena)
+        noisy = union(identity_transducer(positions),
+                      random_transducer(rng, positions, max_states=3))
+        yield arena, restricted(noisy, arena)
+
+
+def test_lift_view_matches_composed_reference(rng):
+    for arena, t in seeded_relations(rng, 6):
+        power = build_power_arena(arena, t)
+        lifted = lift_transducer(t, power)
+        # a lift of the lift, built through the view's interface alone
+        power2 = build_power_arena(power.arena, lifted)
+        lifted2 = lift_transducer(lifted, power2)
+        reference = composed_lift(t, power)
+        reference2 = composed_lift(materialized(lifted, power.arena.positions),
+                                   power2)
+        assert len(lifted) == len(reference)
+        assert len(lifted2) == len(reference2)
+        plays = plays_up_to(arena, 3)
+        for r1, r2 in itertools.product(plays, repeat=2):
+            h1, h2 = power.lift_play(r1), power.lift_play(r2)
+            want = recognizes(t, r1, r2)
+            assert recognizes(lifted, h1, h2) == recognizes(reference, h1, h2) == want
+            h1, h2 = power2.lift_play(h1), power2.lift_play(h2)
+            assert recognizes(lifted2, h1, h2) == recognizes(reference2, h1, h2) == want

@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 
 from conftest import (lassos_of, make_branching, make_g0,
                       positional_strategies)
+from unistrat import transducer
 from unistrat.arena import Arena, Strategy, enumerate_plays, outcome_arena
 from unistrat.encoders import encode_diagnosability, parse_des
 from unistrat.errors import CapExceeded, PartialStrategyError
@@ -238,3 +241,28 @@ def test_completeness_against_enumeration_small_instances():
                 found = True
                 break
         assert found == verdict, inst.phi
+
+
+def test_elimination_never_composes_transducers(monkeypatch):
+    """Lifted relations are views: no elimination round, on the synthesis
+    or the full-check path, builds a composition."""
+    g0 = make_g0()
+    depth1 = FusInstance.make(g0, identity_transducer(g0.positions),
+                              parse("G([R] p | [R] !p)"))
+    arena = make_branching()
+    depth2 = FusInstance.make(arena, length_transducer(arena.positions),
+                              parse("F [R] G <R> !p"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("transducer.compose called")
+
+    compose = transducer.compose
+    for name, module in list(sys.modules.items()):
+        if (name == "unistrat" or name.startswith("unistrat.")) \
+                and getattr(module, "compose", None) is compose:
+            monkeypatch.setattr(module, "compose", refuse)
+    for inst in (depth1, depth2):
+        result = synthesize_fully_uniform(inst)
+        assert result.exists
+        assert all(s.transducer_states > 0 for s in result.trace)
+        assert check_uniform(inst, result.strategy, "full").ok
