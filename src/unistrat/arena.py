@@ -75,9 +75,6 @@ class Arena:
             return False
         return all(b in self._succ[a] for a, b in zip(steps, steps[1:]))
 
-    def sort_positions(self, vs):
-        return sorted(vs, key=self._index.__getitem__)
-
 
 def validate(arena: Arena) -> list[str]:
     """Check arena well-formedness; returns a diagnostic per violation."""

@@ -19,7 +19,7 @@ from . import encoders
 from .arena import format_arena, format_strategy, parse_arena, parse_strategy, validate
 from .errors import EncodingError, StrictSynthesisUnsupported, UnistratError
 from .formula import format_formula, parse as parse_formula, r_depth
-from .ltlgame import Caps, determinize, ltl_to_nba
+from .ltlgame import Caps, ltl_to_dpa, ltl_to_nba
 from .marker import eliminate_r, format_marking_report
 from .powerset import build_power_arena
 from .synthesizer import FusInstance, check_uniform, synthesize_fully_uniform
@@ -193,9 +193,10 @@ def cmd_dump(args) -> int:
         nba = ltl_to_nba(phi)
         print(f"nba states={len(nba.states)} initial={len(nba.initial)} "
               f"accepting={len(nba.accepting)}")
-        dpa = determinize(nba)
+        dpa = ltl_to_dpa(phi)
         print(f"dpa states={len(dpa.states)} "
-              f"priorities={sorted(set(dpa.priority.values()))}")
+              f"priorities={sorted(set(dpa.priority.values()))} "
+              f"construction={dpa.construction}")
     elif args.what == "marking":
         arena_path, fst_path, formula_text = _expect_inputs(
             args, 3, "<arena> <fst> <formula>")

@@ -1,11 +1,14 @@
-"""LTL game backend: formula -> Buchi -> deterministic parity -> game solving.
+"""LTL game backend: formula -> deterministic parity automaton -> game solving.
 
-The pipeline turns a plain LTL objective into a nondeterministic Buchi word
-automaton (on-the-fly expansion of its negation normal form), then into
-a deterministic parity automaton (Safra/Piterman compact trees), builds the
-product with an arena, and solves the resulting parity game with Zielonka's
-algorithm, extracting positional strategies.  Automaton states and game
-nodes are numbered once, by `graph.reachable`.
+The pipeline turns a plain LTL objective into a deterministic parity
+automaton, builds the product with an arena, and solves the resulting
+parity game with Zielonka's algorithm, extracting positional strategies.
+A Boolean combination of `G F s` and `F G s` over state formulas gets the
+automaton of its Zielonka tree directly; any other objective is first
+translated into a nondeterministic Buchi word automaton (on-the-fly
+expansion of its negation normal form), which is used as it is when
+deterministic and otherwise determinized (Safra/Piterman compact trees).
+Automaton states and game nodes are numbered once, by `graph.reachable`.
 
 Letters are sets of proposition names (frozensets).  Priorities use the
 min-even convention: the protagonist (player 0) wins a play iff the least
@@ -24,7 +27,7 @@ from .graph import components, reachable
 
 __all__ = [
     "Caps", "BuchiAutomaton", "ParityAutomaton", "ParityGame",
-    "ltl_to_nba", "determinize", "build_product_game", "solve_parity",
+    "ltl_to_nba", "determinize", "ltl_to_dpa", "build_product_game", "solve_parity",
     "solve_ltl_game",
 ]
 
@@ -51,6 +54,15 @@ def all_letters(ap) -> tuple:
     for mask in range(1 << len(ap)):
         letters.append(frozenset(p for i, p in enumerate(ap) if mask >> i & 1))
     return tuple(sorted(letters, key=_letter_key))
+
+
+def _alphabet(ap, letters) -> tuple:
+    """The given letters, or every letter over ap when none are given."""
+    if letters is None:
+        if len(ap) > 16:
+            raise CapExceeded("distinct propositions in one formula", len(ap), 16)
+        return all_letters(ap)
+    return tuple(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +230,7 @@ def ltl_to_nba(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> BuchiAu
     if r_depth(psi) != 0:
         raise ValueError("ltl_to_nba needs a plain LTL formula")
     ap = tuple(sorted(atoms(psi)))
-    if letters is None:
-        if len(ap) > 16:
-            raise CapExceeded("distinct propositions in one formula", len(ap), 16)
-        letters = all_letters(ap)
-    letters = tuple(letters)
+    letters = _alphabet(ap, letters)
     ex = _Expansion(ap)
     root = ex.nnf(psi)
     k = ex.untils
@@ -327,7 +335,10 @@ def _decode_tree(enc):
 
 
 class ParityAutomaton:
-    """Deterministic parity (min-even) word automaton over letter sets."""
+    """Deterministic parity (min-even) word automaton over letter sets;
+    `construction` names the construction that built it."""
+
+    construction = "safra"
 
     def __init__(self, ap, letters, states, initial, delta, priority):
         self.ap = tuple(ap)
@@ -479,10 +490,193 @@ def determinize(nba: BuchiAutomaton, caps: Caps = DEFAULT_CAPS) -> ParityAutomat
     # a state is a (tree, priority) pair
     states, succ, _ = reachable([(tree0, neutral)], successors, caps.dpa_states,
                                 "parity automaton states")
+    return _numbered(nba.ap, nba.letters, states, succ)
+
+
+def _numbered(ap, letters, states, succ) -> ParityAutomaton:
+    """The automaton on the (key, priority) states numbered by
+    `graph.reachable`, succ[i] listing the successors of i letter by letter."""
     delta = {(i, letter): j for i, row in enumerate(succ)
-             for letter, j in zip(nba.letters, row)}
+             for letter, j in zip(letters, row)}
     priority = {i: pri for i, (_, pri) in enumerate(states)}
-    return ParityAutomaton(nba.ap, nba.letters, range(len(states)), 0, delta, priority)
+    return ParityAutomaton(ap, letters, range(len(states)), 0, delta, priority)
+
+
+# ---------------------------------------------------------------------------
+# Parity automata without determinization
+
+_TRUE = Const(True)
+
+
+def _is_state_formula(f: Formula) -> bool:
+    """Is f a Boolean combination of atoms and constants?"""
+    if isinstance(f, Not):
+        return _is_state_formula(f.sub)
+    if isinstance(f, And):
+        return _is_state_formula(f.left) and _is_state_formula(f.right)
+    return isinstance(f, (Atom, Const))
+
+
+def _holds(s: Formula, letter) -> bool:
+    """Value of the state formula s on a letter."""
+    if isinstance(s, Const):
+        return s.value
+    if isinstance(s, Atom):
+        return s.name in letter
+    if isinstance(s, Not):
+        return not _holds(s.sub, letter)
+    return _holds(s.left, letter) and _holds(s.right, letter)
+
+
+def _muller_condition(psi: Formula):
+    """psi as a Boolean combination of G F s and F G s over state formulas
+    s, or None.  After sugar expansion F G s reads true U !(true U x) with
+    x = !s, which is !G F x, and G F x is its negation.
+
+    Returns (recs, accepts): recs lists the state formulas x of the G F x
+    in first-occurrence order, and accepts(hit) tells whether psi holds on
+    a word whose letters satisfy recs[i] infinitely often exactly for the
+    bits i of hit.
+    """
+    recs: list = []
+
+    def walk(f):
+        if isinstance(f, Const):
+            return lambda hit: f.value
+        if isinstance(f, Not):
+            sub = walk(f.sub)
+            return sub and (lambda hit: not sub(hit))
+        if isinstance(f, And):
+            left, right = walk(f.left), walk(f.right)
+            return left and right and (lambda hit: left(hit) and right(hit))
+        if (isinstance(f, Until) and f.left == _TRUE and isinstance(f.right, Not)
+                and isinstance(f.right.sub, Until) and f.right.sub.left == _TRUE
+                and _is_state_formula(f.right.sub.right)):
+            x = f.right.sub.right
+            if x not in recs:
+                recs.append(x)
+            bit = 1 << recs.index(x)
+            return lambda hit: not hit & bit
+        return None
+
+    accepts = walk(psi)
+    return None if accepts is None else (recs, accepts)
+
+
+def _zielonka_dpa(recs, accepts, ap, letters, caps: Caps) -> ParityAutomaton:
+    """Parity automaton of the Zielonka tree (Zielonka, TCS 1998) of a
+    Muller condition, minimal for it (Casares, Colcombet & Fijalkow,
+    ICALP 2021).
+
+    A letter's colour is the bit set of the recs it satisfies, and a set
+    of colours seen infinitely often is accepted when accepts(their union)
+    holds.  A tree node is a set of colours, the root those of the letters;
+    its children are its maximal subsets of the opposite acceptance, each
+    the colours that avoid some set Z of recurrences, in decreasing size.
+    A state is a leaf and the priority it was entered with.  On colour c a
+    leaf goes to its deepest ancestor n holding c; it stays if n is the
+    leaf itself, and otherwise moves to the leftmost leaf below the child
+    of n after the one it came from, cyclically.  The priority is the depth
+    of n, plus one when the root rejects, so accepting nodes are even.
+    """
+    colour = {letter: sum(1 << i for i, s in enumerate(recs) if _holds(s, letter))
+              for letter in letters}
+
+    def union(colours):
+        hit = 0
+        for c in colours:
+            hit |= c
+        return hit
+
+    labels = [frozenset(colour.values())]
+    parent, depth, children = [-1], [0], []
+    for node, label in enumerate(labels):   # appended to while walked
+        hit = union(label)
+        mine = accepts(hit)
+        found = set()
+        z = hit
+        while z:   # every nonempty Z within the recurrences label hits
+            sub = frozenset(c for c in label if not c & z)
+            if sub and accepts(union(sub)) != mine:
+                found.add(sub)
+            z = (z - 1) & hit
+        kids = sorted((d for d in found if not any(d < e for e in found)),
+                      key=lambda d: (-len(d), sorted(d)))
+        children.append(range(len(labels), len(labels) + len(kids)))
+        labels.extend(kids)
+        parent.extend([node] * len(kids))
+        depth.extend([depth[node] + 1] * len(kids))
+        if len(labels) > caps.dpa_states:
+            raise CapExceeded("Zielonka tree nodes", len(labels), caps.dpa_states)
+
+    def leftmost(n):
+        while children[n]:
+            n = children[n][0]
+        return n
+
+    shift = 0 if accepts(union(labels[0])) else 1
+    moves: dict = {}   # (leaf, colour) -> (leaf, priority)
+
+    def move(leaf, c):
+        key = (leaf, c)
+        if key not in moves:
+            n, came = leaf, leaf
+            while c not in labels[n]:
+                n, came = parent[n], n
+            if n != leaf:
+                kids = children[n]
+                leaf = leftmost(kids[(kids.index(came) + 1) % len(kids)])
+            moves[key] = (leaf, depth[n] + shift)
+        return moves[key]
+
+    start = leftmost(0)
+    states, succ, _ = reachable(
+        [(start, depth[start] + shift)],
+        lambda state: [move(state[0], colour[letter]) for letter in letters],
+        caps.dpa_states, "parity automaton states")
+    dpa = _numbered(ap, letters, states, succ)
+    dpa.construction = "zielonka-tree"
+    return dpa
+
+
+def _nba_as_dpa(nba: BuchiAutomaton, caps: Caps) -> ParityAutomaton:
+    """A deterministic NBA read as a parity automaton: entering an
+    accepting state gives priority 0, entering any other state 1."""
+    if len(nba.states) > caps.dpa_states:
+        raise CapExceeded("parity automaton states", len(nba.states), caps.dpa_states)
+    (initial,) = nba.initial
+    delta = {move: q for move, (q,) in nba.transitions.items()}
+    priority = {q: 0 if q in nba.accepting else 1 for q in nba.states}
+    dpa = ParityAutomaton(nba.ap, nba.letters, nba.states, initial, delta, priority)
+    dpa.construction = "nba"
+    return dpa
+
+
+def ltl_to_dpa(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> ParityAutomaton:
+    """Deterministic parity automaton of a plain LTL formula over the given
+    letters (by default every letter over its atoms), built the cheapest
+    way the formula allows:
+
+    1. a Boolean combination of G F s and F G s over state formulas s is a
+       Muller condition and gets the automaton of its Zielonka tree, with
+       no Buchi automaton built;
+    2. otherwise a Buchi automaton with one successor per (state, letter)
+       is used as it is;
+    3. any other Buchi automaton is determinized by Safra's construction.
+
+    Every path respects caps.dpa_states; `construction` on the result says
+    which one ran ("zielonka-tree", "nba" or "safra").
+    """
+    if r_depth(psi) != 0:
+        raise ValueError("ltl_to_dpa needs a plain LTL formula")
+    muller = _muller_condition(psi)
+    if muller is not None:
+        ap = tuple(sorted(atoms(psi)))
+        return _zielonka_dpa(*muller, ap, _alphabet(ap, letters), caps)
+    nba = ltl_to_nba(psi, letters=letters, caps=caps)
+    if all(len(targets) == 1 for targets in nba.transitions.values()):
+        return _nba_as_dpa(nba, caps)
+    return determinize(nba, caps=caps)
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +820,7 @@ def solve_ltl_game(arena: Arena, psi: Formula, protagonist: int,
     ap = frozenset(atoms(psi))
     used_letters = sorted({arena.labels[v] & ap for v in arena.positions},
                           key=_letter_key)
-    nba = ltl_to_nba(psi, letters=used_letters, caps=caps)
-    dpa = determinize(nba, caps=caps)
+    dpa = ltl_to_dpa(psi, used_letters, caps)
     game = build_product_game(arena, dpa, protagonist, caps=caps)
     winner, strategies = solve_parity(game)
     if winner[game.initial] != 0:

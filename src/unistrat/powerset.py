@@ -38,13 +38,26 @@ class PowerPosition:
 
     `last` is canonicalized as a tuple of (state, sorted position tuple)
     association pairs sorted by state, so equal summaries hash equally.
-    `info` is the derived local information set.
+    `info` is the derived local information set.  The hash of (v, states,
+    last) is computed once, as positions are looked up far more often
+    than they are made.
     """
 
     v: object
     states: frozenset
     last: tuple
     info: frozenset = field(compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.v, self.states, self.last)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: hash afresh when loaded
+        return PowerPosition, (self.v, self.states, self.last, self.info)
 
     def last_of(self, q) -> frozenset:
         for state, outs in self.last:

@@ -295,6 +295,12 @@ def test_dump_automaton_inline(capsys):
     assert code == 0
     assert "nba states=" in stdout
     assert "dpa states=" in stdout
+    # the DPA that solve builds: a Muller objective needs no Safra trees
+    code, stdout, _ = run_cli(["dump", "automaton", "G F p & F G q"], capsys)
+    assert code == 0
+    dpa_line = next(line for line in stdout.splitlines() if line.startswith("dpa "))
+    assert dpa_line.endswith(" construction=zielonka-tree")
+    assert int(dpa_line.split()[1].removeprefix("states=")) <= 8
     code, _, _ = run_cli(["dump", "automaton", "[R] p"], capsys)
     assert code == 2  # not plain temporal logic
     code, _, _ = run_cli(["dump", "automaton"], capsys)
@@ -323,13 +329,13 @@ def test_solve_then_check_written_strategy(g0_files, tmp_path, capsys):
 
 def test_written_strategy_bytes_pinned(tmp_path, capsys):
     # memory elements are automaton states (and, after pullback, tuples
-    # holding them); the written names must not depend on how they are built
+    # holding them); the written names must not depend on how they are built.
+    # G(p -> X !p) has a deterministic Buchi automaton, used as the DPA
     sigma = solve_ltl_game(make_g0(), parse("G(p -> X !p)"), 1)
     assert format_strategy(sigma) == (
-        "strategy player=1 memory=m0,m1,m2 init=m0\n"
+        "strategy player=1 memory=m0,m1 init=m0\n"
         "upd m0 v0 -> m1\n"
-        "upd m1 v1 -> m2\n"
-        "upd m2 v0 -> m1\n"
+        "upd m1 v1 -> m0\n"
         "choose m1 v0 -> v1\n")
     des = tmp_path / "m.des"
     des.write_text(DES_DIAGNOSABLE)

@@ -7,10 +7,10 @@ import pytest
 from conftest import lassos_of, make_branching, make_g0
 from unistrat.arena import Arena, outcome_arena
 from unistrat.errors import CapExceeded, EncodingError
-from unistrat.formula import Atom, And, Next, Not, Until, parse
+from unistrat.formula import Atom, And, Next, Not, Until, atoms, parse
 from unistrat.ltlgame import (Caps, ParityGame, all_letters,
-                              build_product_game, determinize, ltl_to_nba,
-                              solve_ltl_game, solve_parity)
+                              build_product_game, determinize, ltl_to_dpa,
+                              ltl_to_nba, solve_ltl_game, solve_parity)
 from unistrat.oracle import lasso_eval
 
 
@@ -289,8 +289,6 @@ SUITE_REWRITES = [
 
 
 def test_nba_dpa_agree_on_suite_formulas(rng):
-    from unistrat.formula import atoms
-
     for text in SUITE_REWRITES:
         f = parse(text)
         nba = ltl_to_nba(f)
@@ -365,3 +363,157 @@ def test_solve_ltl_game_strategy_outcomes_satisfy_objective(rng):
             stem_l = [arena.labels[p[0]] for p in stem]
             cycle_l = [arena.labels[p[0]] for p in cycle]
             assert lasso_eval(stem_l, cycle_l, psi)
+
+
+# ---------------------------------------------------------------------------
+# Parity automata without Safra
+
+MULLER_LADDER = ("G F p", "F G p", "F G p | G F q", "G F p & G F q",
+                 "G F p & F G q", "G F p & G F q & F G r")
+STATE_FORMULAS = ("p", "q", "!p", "p & q", "p & !q", "!(p & q)", "p | q")
+
+
+def rand_recurrences(rng):
+    """A Boolean combination of G F s and F G s over at most three state
+    formulas s."""
+    recs = rng.sample(STATE_FORMULAS, rng.randint(1, 3))
+
+    def gen(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return f"{rng.choice(('G F', 'F G'))} ({rng.choice(recs)})"
+        op = rng.choice(("&", "|", "->", "!"))
+        if op == "!":
+            return f"!({gen(depth - 1)})"
+        return f"({gen(depth - 1)}) {op} ({gen(depth - 1)})"
+    return gen(3)
+
+
+def run(dpa, word):
+    q = dpa.initial
+    for letter in word:
+        q = dpa.delta[(q, letter)]
+    return q
+
+
+def accepts_from(dpa, q, cycle):
+    """Does dpa accept cycle^omega from state q?"""
+    seen, lows = {}, []
+    while q not in seen:
+        seen[q] = len(lows)
+        pris = []
+        for letter in cycle:
+            q = dpa.delta[(q, letter)]
+            pris.append(dpa.priority[q])
+        lows.append(min(pris))
+    return min(lows[seen[q]:]) % 2 == 0
+
+
+def assert_matches_safra_and_oracle(f, oracle_stem=3):
+    """ltl_to_dpa agrees with Safra on every lasso with stem <= 3 and
+    cycle <= 3 over the formula's letters, and with lasso_eval on those
+    with stem <= oracle_stem.
+
+    Lassos that spell the same word are checked once: the cycle is
+    primitive, and the stem does not end in the cycle's last letter.  Both
+    automata are deterministic, so the verdict on a lasso is fixed by the
+    states its stem leads to and by its cycle.
+    """
+    letters = all_letters(atoms(f))
+    dpa, safra = ltl_to_dpa(f), determinize(ltl_to_nba(f))
+    stems = [stem for n in range(4) for stem in itertools.product(letters, repeat=n)]
+    reached = {stem: (run(dpa, stem), run(safra, stem)) for stem in stems}
+    for n in range(1, 4):
+        for cycle in itertools.product(letters, repeat=n):
+            if any(cycle == cycle[:d] * (n // d) for d in range(1, n) if n % d == 0):
+                continue
+            verdicts = {}
+            for stem in stems:
+                if stem and stem[-1] == cycle[-1]:
+                    continue
+                q, r = key = reached[stem]
+                if key not in verdicts:
+                    verdicts[key] = accepts_from(dpa, q, cycle)
+                    assert verdicts[key] == accepts_from(safra, r, cycle), \
+                        (str(f), stem, cycle)
+                if len(stem) <= oracle_stem:
+                    assert verdicts[key] == lasso_eval(stem, cycle, f), (str(f), stem, cycle)
+    return dpa
+
+
+@pytest.mark.parametrize("text", MULLER_LADDER + ("G F m -> G F r",
+                                                  "!(G F p & G F q & F G r)"))
+def test_zielonka_dpa_matches_safra_and_oracle(text):
+    f = parse(text)
+    # 290,816 lasso words over three atoms: the oracle reads those with stem <= 1
+    dpa = assert_matches_safra_and_oracle(f, 3 if len(atoms(f)) < 3 else 1)
+    assert dpa.construction == "zielonka-tree"
+    assert len(dpa) <= len(determinize(ltl_to_nba(f)))
+
+
+def test_zielonka_dpa_random_combinations(rng):
+    for _ in range(30):
+        f = parse(rand_recurrences(rng))
+        dpa = assert_matches_safra_and_oracle(f, oracle_stem=1)
+        assert dpa.construction == "zielonka-tree"
+
+
+def test_zielonka_dpa_sizes():
+    for text, states in (("F G p | G F q", 3), ("G F p & F G q", 3),
+                         ("G F p & G F q & F G r", 5), ("G F m -> G F r", 3),
+                         ("!(G F p & G F q & F G r)", 5),
+                         ("(G F p -> G F q) & (G F r -> G F s)", 10)):
+        assert len(ltl_to_dpa(parse(text))) == states, text
+
+
+def test_zielonka_tree_not_for_other_shapes():
+    for text in ("p", "G F p & q", "G F X p", "G F (p U q)", "F(p & X q)"):
+        assert ltl_to_dpa(parse(text)).construction != "zielonka-tree", text
+
+
+def test_deterministic_nba_used_as_dpa(rng):
+    for text in ("p U q", "G(p -> X q)", "G(p -> F q)", "G(p -> X !p)",
+                 "G(p -> F q) & G F r"):
+        f = parse(text)
+        nba = ltl_to_nba(f)
+        dpa = ltl_to_dpa(f)
+        assert dpa.construction == "nba", text
+        assert len(dpa) == len(nba.states)
+        assert set(dpa.priority.values()) <= {0, 1}
+        for _ in range(40):
+            stem, cycle = rand_lasso(rng, props=tuple(sorted(atoms(f))))
+            assert dpa.accepts_lasso(stem, cycle) == lasso_eval(stem, cycle, f)
+    dpa = ltl_to_dpa(parse("F(p & X q)"))
+    assert dpa.construction == "safra"
+
+
+def test_new_constructions_respect_dpa_cap():
+    with pytest.raises(CapExceeded, match="Zielonka tree nodes"):
+        ltl_to_dpa(parse("G F p & F G q"), caps=Caps(dpa_states=2))
+    # three tree nodes, four states
+    with pytest.raises(CapExceeded, match="parity automaton states"):
+        ltl_to_dpa(parse("G F p & G F q"), caps=Caps(dpa_states=3))
+    assert len(ltl_to_dpa(parse("G F p & G F q"), caps=Caps(dpa_states=4))) == 4
+    with pytest.raises(CapExceeded, match="parity automaton states"):
+        ltl_to_dpa(parse("G(p -> X !p)"), caps=Caps(dpa_states=2))
+    assert len(ltl_to_dpa(parse("G(p -> X !p)"), caps=Caps(dpa_states=3))) == 3
+
+
+def test_solve_ltl_game_needs_no_safra_here(monkeypatch):
+    import unistrat.ltlgame as ltlgame
+
+    def refuse(nba, caps=None):
+        raise AssertionError("Safra ran on an objective that does not need it")
+
+    monkeypatch.setattr(ltlgame, "determinize", refuse)
+    for text in ("G F p & F G q", "G F p & F G !q", "G(p -> X !p)"):
+        psi = parse(text)
+        for arena in (make_g0(), make_branching(owner_v0=1), make_branching(owner_v0=2)):
+            sigma = solve_ltl_game(arena, psi, 1)
+            if sigma is None:
+                continue
+            product = outcome_arena(arena, sigma)
+            for stem, cycle in lassos_of(product):
+                assert lasso_eval([arena.labels[p[0]] for p in stem],
+                                  [arena.labels[p[0]] for p in cycle], psi)
+    assert solve_ltl_game(make_g0(), parse("G(p -> X !p)"), 1) is not None
+    assert solve_ltl_game(make_branching(owner_v0=1), parse("G F p & F G !q"), 1) is not None
