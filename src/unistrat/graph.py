@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import CapExceeded
 
-__all__ = ["reachable", "components"]
+__all__ = ["reachable", "live", "components"]
 
 
 def reachable(seeds, successors, cap=None, what="graph nodes"):
@@ -37,6 +37,20 @@ def reachable(seeds, successors, cap=None, what="graph nodes"):
             out.append(j)
         succ.append(out)
     return nodes, succ, parent
+
+
+def live(seeds, successors, accepting, cap=None, what="graph nodes"):
+    """The nodes reachable from the seeds, numbered as `reachable` numbers
+    them, and the set of those that reach a node with accepting(node) true:
+    a capped forward pass, then `reachable` on the reversed adjacency."""
+    nodes, succ, _ = reachable(seeds, successors, cap, what)
+    pred: list = [[] for _ in nodes]
+    for i, row in enumerate(succ):
+        for j in row:
+            pred[j].append(i)
+    found, _, _ = reachable([i for i, node in enumerate(nodes) if accepting(node)],
+                            pred.__getitem__)
+    return nodes, {nodes[i] for i in found}
 
 
 def components(succ, accepting):

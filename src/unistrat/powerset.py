@@ -11,17 +11,19 @@ The construction is reachable-only and hash-conses power positions, so the
 astronomically large full space is never materialized.  A relation is read
 only through `initial`, `accepting`, `state_index` and `transitions_from`,
 so the same code runs on a `Transducer` and on the `LiftedRelation` view
-that carries it over to power plays for the next round.
+that carries it over to the plays of a covering arena: the power arena,
+for the next round, or the outcome arena of a strategy, in strict checking.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .arena import Arena
 from .errors import CapExceeded
-from .graph import reachable
+from .graph import live, reachable
 from .transducer import EPSILON, Transducer
 
 __all__ = [
@@ -158,9 +160,6 @@ class PowerArena:
     def step(self, power_pos: PowerPosition, v) -> PowerPosition:
         return self._step[(power_pos, v)]
 
-    def down(self, power_pos: PowerPosition):
-        return power_pos.v
-
     def lift_play(self, play) -> tuple:
         current = self.pre_initial
         out = []
@@ -272,45 +271,58 @@ class _Accepting:
 
 
 class LiftedRelation:
-    """The relation of t carried over to power plays, explored on demand.
+    """The relation of t carried over to plays of a covering arena,
+    explored on demand.
 
-    It relates two power plays iff t relates their underlying plays: the
-    composition down . t . up, where down projects a power play to its play
-    and up lifts a play to its unique power play.  Both are deterministic,
-    so a state (d, q, u) pairs a state q of t with the numbers, in
-    `power.arena.positions`, of the last power position read (d) and
-    written (u); -1 stands for the pre-initial summary, before the first.
-    Each state's moves are computed, and their targets numbered in
+    A covering's positions project by `down` onto positions of t's arena,
+    with at most one successor per position and projected successor: the
+    power arena (down p = p.v) and the outcome arena of a strategy
+    (down o = o[0]) are coverings.  The view relates two covering plays iff
+    t relates their projections (down . t . up).  A state (d, q, u) pairs
+    a state q of t with the numbers, in `covering.positions`, of the last
+    covering position read (d) and written (u); -1 stands for before the
+    first.  Each state's moves are computed, and their targets numbered in
     `state_index`, when `transitions_from` first asks for them; `len`
-    explores every reachable state once and remembers the count.  The view
-    is trim whenever t is trimmed and restricted to pairs of plays.
+    explores every reachable state once and remembers the count.
+
+    Over a covering with a successor for every plain successor, as the
+    power arena has, the view is trim whenever t is trimmed and restricted
+    to pairs of plays.  The outcome arena keeps one edge at the strategy's
+    positions, so runs of t die there: strict `check_uniform` drops them
+    with `drop_dead_states`.
     """
 
-    def __init__(self, t, power: PowerArena):
+    def __init__(self, t, covering: Arena, down):
         self.t = t
-        self.power = power
+        self.covering = covering
+        self.down = down
         self.initial = (-1, t.initial, -1)
         self.accepting = _Accepting(t.accepting)
         self.state_index = {self.initial: 0}
         self._moves: dict = {}
-        self._step = None
+        self._next = None
         self._size = None
 
-    def _numbered_step(self) -> dict:
-        """(number of power position, next position) -> number of its
-        successor, with -1 for the pre-initial summary."""
-        ids = {p: i for i, p in enumerate(self.power.arena.positions)}
-        ids[self.power.pre_initial] = -1
-        return {(ids[p], v): ids[p2] for (p, v), p2 in self.power._step.items()}
+    def _numbered_edges(self) -> dict:
+        """(number of a covering position, next plain position) -> number
+        of its successor, read off the covering's edges; -1 numbers the
+        point before the initial position."""
+        covering, down = self.covering, self.down
+        index = covering.index
+        numbered = {(-1, down(covering.initial)): index(covering.initial)}
+        for i, o in enumerate(covering.positions):
+            for o2 in covering.successors(o):
+                numbered[(i, down(o2))] = index(o2)
+        return numbered
 
     def transitions_from(self, state):
         moves = self._moves.get(state)
         if moves is not None:
             return moves
-        if self._step is None:
-            self._step = self._numbered_step()
-        step, index = self._step, self.state_index
-        positions = self.power.arena.positions
+        if self._next is None:
+            self._next = self._numbered_edges()
+        step, index = self._next, self.state_index
+        positions = self.covering.positions
         d, q, u = state
         out = []
         for a, b, q2 in self.t.transitions_from(q):
@@ -330,11 +342,24 @@ class LiftedRelation:
         moves = self._moves[state] = tuple(out)
         return moves
 
+    def _targets(self, state):
+        return [s2 for _, _, s2 in self.transitions_from(state)]
+
+    def drop_dead_states(self, cap=None, what="lifted relation states"):
+        """Explore the view once and drop every move into a state that
+        reaches no accepting state, so the view is trim; the initial state
+        stays, as in `transducer.trim`.  Raises CapExceeded once more than
+        cap states are reached."""
+        nodes, alive = live([self.initial], self._targets,
+                            self.accepting.__contains__, cap, what)
+        if len(alive) < len(nodes):
+            for s in nodes:
+                self._moves[s] = tuple(m for m in self._moves[s] if m[2] in alive)
+        self._size = None
+
     def __len__(self):
         if self._size is None:
-            nodes, _, _ = reachable(
-                [self.initial],
-                lambda s: [q2 for _, _, q2 in self.transitions_from(s)])
+            nodes, _, _ = reachable([self.initial], self._targets)
             self._size = len(nodes)
         return self._size
 
@@ -342,4 +367,4 @@ class LiftedRelation:
 def lift_transducer(t, power: PowerArena) -> LiftedRelation:
     """Transport the relation of t to plays of the power arena, as a view
     computed on demand (see `LiftedRelation`)."""
-    return LiftedRelation(t, power)
+    return LiftedRelation(t, power.arena, attrgetter("v"))

@@ -6,13 +6,15 @@ solves the residual LTL game on the final power arena, and pulls the
 winning strategy back to the original arena through the chain of play
 bijections.  Checking restricts attention to the outcomes of the given
 strategy: in full mode the universe of related plays stays the whole game,
-in strict mode the game is first pruned to the outcome product so related
-plays are themselves outcomes.
+in strict mode the relation is lifted onto the outcome arena, the same
+on-demand view synthesis uses for power arenas, so related plays are
+themselves outcomes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .arena import Arena, Strategy, outcome_arena, validate
 from .errors import CapExceeded, EncodingError
@@ -20,7 +22,8 @@ from .formula import Formula, r_depth
 from .graph import reachable
 from .ltlgame import Caps, DEFAULT_CAPS, solve_ltl_game
 from .marker import eliminate_r, trace_counterexample
-from .transducer import Transducer, compose, play_projection_transducers, restrict_to_plays, trim
+from .powerset import LiftedRelation
+from .transducer import Transducer, restrict_to_plays, trim
 
 __all__ = [
     "FusInstance", "IterationStats", "SynthesisResult", "CheckResult",
@@ -224,9 +227,10 @@ def check_uniform(inst: FusInstance, sigma: Strategy, mode: str,
     """Does the given finite-memory strategy satisfy the uniformity property?
 
     full mode: related plays range over all plays of the arena; strict
-    mode: the arena is pruned to the outcome product first, so related
-    plays range over outcomes of sigma at every nesting level.  On failure
-    the counterexample is (the projection of) a violating play prefix.
+    mode: the relation is lifted onto the outcome arena of sigma, and its
+    dead states dropped, before elimination runs there, so related plays
+    range over outcomes of sigma at every nesting level.  On failure the
+    counterexample is (the projection of) a violating play prefix.
     """
     if mode not in ("strict", "full"):
         raise ValueError("mode must be 'strict' or 'full'")
@@ -242,10 +246,10 @@ def check_uniform(inst: FusInstance, sigma: Strategy, mode: str,
             return node[0][0]
     else:
         outcome = outcome_arena(inst.arena, sigma)
-        t_down, t_up = play_projection_transducers(
-            outcome, lambda o: o[0], plain_alphabet=inst.arena.positions)
-        pruned_relation = trim(compose(compose(t_down, inst.transducer), t_up))
-        rounds, chain = _eliminate_all(outcome, pruned_relation, inst.phi, caps)
+        relation = LiftedRelation(inst.transducer, outcome, itemgetter(0))
+        if r_depth(inst.phi) > 0:   # only elimination reads the relation
+            relation.drop_dead_states(caps.product_nodes, "strict relation states")
+        rounds, chain = _eliminate_all(outcome, relation, inst.phi, caps)
         monitored, _, phi_n = rounds[-1]
 
         def original(node):

@@ -12,6 +12,7 @@ from collections import deque
 
 from .arena import Arena
 from .errors import EncodingError, InputFormatError
+from .graph import live
 
 __all__ = [
     "EPSILON", "Transducer", "recognizes", "compose", "trim", "union",
@@ -145,28 +146,12 @@ def compose(t1: Transducer, t2: Transducer, name=None) -> Transducer:
 def trim(t: Transducer) -> Transducer:
     """Remove states that are unreachable or cannot reach acceptance.
 
-    Preserves the recognized relation; the initial state is always kept.
+    Preserves the recognized relation and the order of states and
+    transitions; the initial state is always kept.
     """
-    reach = {t.initial}
-    queue = deque([t.initial])
-    while queue:
-        q = queue.popleft()
-        for _, _, q2 in t.transitions_from(q):
-            if q2 not in reach:
-                reach.add(q2)
-                queue.append(q2)
-    pred: dict = {q: [] for q in t.states}
-    for q, _, _, q2 in t.transitions:
-        pred[q2].append(q)
-    coacc = set(t.accepting)
-    queue = deque(coacc)
-    while queue:
-        q = queue.popleft()
-        for p in pred[q]:
-            if p not in coacc:
-                coacc.add(p)
-                queue.append(p)
-    keep = (reach & coacc) | {t.initial}
+    _, keep = live([t.initial], lambda q: [q2 for _, _, q2 in t.transitions_from(q)],
+                   t.accepting.__contains__)
+    keep.add(t.initial)
     return Transducer(
         states=[q for q in t.states if q in keep],
         input_alphabet=t.input_alphabet,
@@ -314,35 +299,6 @@ def build_morphism_equivalence(arena: Arena, h: dict) -> Transducer:
     raw = Transducer([q0], positions, positions, q0, [q0], transitions,
                      name="morphism-equiv")
     return restrict_to_plays(raw, arena)
-
-
-def play_projection_transducers(arena: Arena, project, plain_alphabet=None) -> tuple:
-    """Deterministic transducers between plays of a product arena and their
-    projections.
-
-    `project` maps each arena position to its underlying symbol.  The first
-    transducer reads a play of `arena` and writes its projection; the
-    second reads a projection and writes the corresponding play, threading
-    the current position through its own state.  Both accept exactly valid
-    plays of `arena` on the structured tape.
-    """
-    start = ("proj-start",)
-    states = [start] + list(arena.positions)
-    down, up = [], []
-    pairs = [(start, arena.initial)]
-    pairs += [(src, dst) for src in arena.positions for dst in arena.successors(src)]
-    for src, dst in pairs:
-        down.append((src, dst, project(dst), dst))
-        up.append((src, project(dst), dst, dst))
-    structured = frozenset(arena.positions)
-    if plain_alphabet is None:
-        plain_alphabet = {project(v) for v in arena.positions}
-    plain = frozenset(plain_alphabet)
-    t_down = Transducer(states, structured, plain, start, list(arena.positions),
-                        down, name="down")
-    t_up = Transducer(states, plain, structured, start, list(arena.positions),
-                      up, name="up")
-    return t_down, t_up
 
 
 def identity_transducer(alphabet, name="id") -> Transducer:

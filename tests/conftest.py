@@ -64,6 +64,35 @@ def random_transducer(rng: random.Random, alphabet, max_states=5):
                       name="rand-fst")
 
 
+def play_projection_transducers(arena: Arena, project, plain_alphabet=None) -> tuple:
+    """Deterministic transducers between plays of a covering arena and their
+    projections: the reference the lifted-relation views are tested against.
+
+    `project` maps each arena position to its underlying symbol.  The first
+    transducer reads a play of `arena` and writes its projection; the
+    second reads a projection and writes the corresponding play, threading
+    the current position through its own state.  Both accept exactly valid
+    plays of `arena` on the structured tape.
+    """
+    start = ("proj-start",)
+    states = [start] + list(arena.positions)
+    down, up = [], []
+    pairs = [(start, arena.initial)]
+    pairs += [(src, dst) for src in arena.positions for dst in arena.successors(src)]
+    for src, dst in pairs:
+        down.append((src, dst, project(dst), dst))
+        up.append((src, project(dst), dst, dst))
+    structured = frozenset(arena.positions)
+    if plain_alphabet is None:
+        plain_alphabet = {project(v) for v in arena.positions}
+    plain = frozenset(plain_alphabet)
+    t_down = Transducer(states, structured, plain, start, list(arena.positions),
+                        down, name="down")
+    t_up = Transducer(states, plain, structured, start, list(arena.positions),
+                      up, name="up")
+    return t_down, t_up
+
+
 def positional_strategies(arena: Arena, player: int):
     """Every memoryless strategy of the player, deterministic order."""
     owned = [v for v in arena.positions if arena.owner[v] == player]

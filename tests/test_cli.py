@@ -381,7 +381,7 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
     length = tmp_path / "b.fst"
     branching.write_text(format_arena(make_branching()))
     length.write_text(format_transducer(length_transducer(make_branching().positions)))
-    stdouts, automata, strategies = set(), set(), set()
+    stdouts, automata, strategies, checks = set(), set(), set(), set()
     deep_stdouts, deep_strategies = set(), set()
     for seed in ("0", "5", "1234"):
         env = child_env(PYTHONHASHSEED=seed)
@@ -393,6 +393,13 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
         assert proc.returncode == 0
         stdouts.add(proc.stdout)
         strategies.add(out.read_text())
+        proc = subprocess.run(
+            [sys.executable, "-m", "unistrat.cli", "check", str(arena),
+             str(fst), "[R] !p", str(out), "--mode", "strict"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "counterexample=" in proc.stdout
+        checks.add(proc.stdout)
         deep = tmp_path / f"d{seed}.strategy"
         proc = subprocess.run(
             [sys.executable, "-m", "unistrat.cli", "solve", str(branching),
@@ -411,5 +418,6 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
     assert len(stdouts) == 1
     assert len(automata) == 1
     assert len(strategies) == 1
+    assert len(checks) == 1
     assert len(deep_stdouts) == 1
     assert len(deep_strategies) == 1

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from conftest import (make_branching, make_g0, plays_up_to, random_arena,
-                      random_transducer)
+from conftest import (make_branching, make_g0, play_projection_transducers,
+                      plays_up_to, random_arena, random_transducer)
 from unistrat.arena import Arena
 from unistrat.errors import CapExceeded
 from unistrat.powerset import (build_power_arena, info_set_bruteforce,
@@ -11,8 +11,7 @@ from unistrat.powerset import (build_power_arena, info_set_bruteforce,
 from unistrat.graph import reachable
 from unistrat.transducer import (EPSILON, Transducer, compose,
                                  identity_transducer, length_transducer,
-                                 play_projection_transducers, recognizes,
-                                 restrict_to_plays, trim, union)
+                                 recognizes, restrict_to_plays, trim, union)
 
 
 def restricted(t, arena):

@@ -1,19 +1,25 @@
+import itertools
 import sys
+from operator import itemgetter
 
 import pytest
 
 from conftest import (lassos_of, make_branching, make_g0,
-                      positional_strategies)
-from unistrat import transducer
+                      play_projection_transducers, positional_strategies)
+from test_acceptance import sampled_instances
+from unistrat import powerset, transducer
 from unistrat.arena import Arena, Strategy, enumerate_plays, outcome_arena
 from unistrat.encoders import encode_diagnosability, parse_des
 from unistrat.errors import CapExceeded, PartialStrategyError
-from unistrat.formula import parse
+from unistrat.formula import parse, r_depth
 from unistrat.ltlgame import Caps
+from unistrat.marker import eliminate_r, trace_counterexample
 from unistrat.oracle import bounded_semantics, twin_plant_diagnosable
+from unistrat.powerset import LiftedRelation
 from unistrat.synthesizer import (FusInstance, check_uniform,
                                   pullback_strategy, synthesize_fully_uniform)
-from unistrat.transducer import identity_transducer, length_transducer
+from unistrat.transducer import (Transducer, compose, identity_transducer,
+                                 length_transducer, trim)
 
 
 DIAGNOSABLE = """
@@ -203,6 +209,90 @@ def test_check_uniform_caps_monitored_outcome():
     assert exc.value.what == "monitored outcome nodes"
 
 
+def test_check_uniform_caps_strict_relation():
+    # four interchangeable copies of the identity: the strict relation has
+    # four states per outcome position, more than any product built later
+    g0 = make_g0()
+    states = [f"q{i}" for i in range(4)]
+    copies = Transducer(states, g0.positions, g0.positions, "q0", states,
+                        [(q, v, v, q2) for q in states for q2 in states
+                         for v in g0.positions])
+    inst = FusInstance.make(g0, copies, parse("G([R] p | [R] !p)"))
+    sigma = next(positional_strategies(g0, 1))
+    size = len(LiftedRelation(inst.transducer, outcome_arena(g0, sigma),
+                              itemgetter(0)))
+    assert check_uniform(inst, sigma, "strict", caps=Caps(product_nodes=size)).ok
+    with pytest.raises(CapExceeded) as exc:
+        check_uniform(inst, sigma, "strict", caps=Caps(product_nodes=size - 1))
+    assert exc.value.what == "strict relation states"
+    # a plain LTL formula never reads the relation, so it is not explored
+    plain = FusInstance.make(g0, copies, parse("G F p"))
+    assert check_uniform(plain, sigma, "strict", caps=Caps(product_nodes=size - 1)).ok
+
+
+def strict_reference(inst, sigma):
+    """Strict check on the relation trim(down . T . up), materialized by
+    composing the play projection transducers of the outcome arena, with
+    public elimination rounds.  Returns (ok, counterexample, power
+    positions built, relation)."""
+    outcome = outcome_arena(inst.arena, sigma)
+    t_down, t_up = play_projection_transducers(
+        outcome, itemgetter(0), plain_alphabet=inst.arena.positions)
+    relation = trim(compose(compose(t_down, inst.transducer), t_up))
+    arena, t, phi = outcome, relation, inst.phi
+    depth = positions = 0
+    while r_depth(phi) > 0:
+        arena, t, phi, _ = eliminate_r(arena, t, phi)
+        depth += 1
+        positions += len(arena)
+    witness = trace_counterexample(arena, arena.initial, phi)
+    if witness is None:
+        return True, None, positions, relation
+
+    def original(node):
+        for _ in range(depth):
+            node = node.v
+        return node[0]
+    stem, cycle = witness
+    return False, tuple(original(n) for n in stem + cycle), positions, relation
+
+
+def test_strict_check_matches_composed_reference(monkeypatch):
+    """Strict checking on the lifted view gives the verdicts,
+    counterexamples and power arenas of the composed relation."""
+    built = []
+    build = powerset.build_power_arena
+
+    def counting(arena, t, cap=10 ** 6):
+        power = build(arena, t, cap)
+        built.append(len(power.arena))
+        return power
+
+    monkeypatch.setattr(powerset, "build_power_arena", counting)
+    formulas = [parse(f) for f in ("[R] p", "G [R] !q", "G F [R] q",
+                                   "F [R] G <R> !p")]
+    checks = dropped = 0
+    # instance 15 of seed 11 has a strict relation with dead states
+    for seed, count in ((11, 16), (99, 10)):
+        for arena, t in sampled_instances(seed, count):
+            for phi in formulas:
+                inst = FusInstance(arena, t, phi)
+                for sigma in itertools.islice(positional_strategies(arena, 1), 3):
+                    ok, counterexample, positions, reference = strict_reference(inst, sigma)
+                    built.clear()
+                    result = check_uniform(inst, sigma, "strict")
+                    assert (result.ok, result.counterexample) == (ok, counterexample)
+                    assert sum(built) == positions
+                    view = LiftedRelation(t, outcome_arena(arena, sigma), itemgetter(0))
+                    reached = len(view)
+                    view.drop_dead_states()
+                    assert len(view) == len(reference)
+                    dropped += len(view) < reached
+                    checks += 1
+    assert checks > 200
+    assert dropped > 0   # the outcome arena leaves dead runs to drop
+
+
 def test_check_uniform_mode_validation():
     g0 = make_g0()
     inst = FusInstance.make(g0, identity_transducer(g0.positions), parse("p"))
@@ -245,7 +335,7 @@ def test_completeness_against_enumeration_small_instances():
 
 def test_elimination_never_composes_transducers(monkeypatch):
     """Lifted relations are views: no elimination round, on the synthesis
-    or the full-check path, builds a composition."""
+    or either check path, builds a composition."""
     g0 = make_g0()
     depth1 = FusInstance.make(g0, identity_transducer(g0.positions),
                               parse("G([R] p | [R] !p)"))
@@ -261,8 +351,11 @@ def test_elimination_never_composes_transducers(monkeypatch):
         if (name == "unistrat" or name.startswith("unistrat.")) \
                 and getattr(module, "compose", None) is compose:
             monkeypatch.setattr(module, "compose", refuse)
-    for inst in (depth1, depth2):
+    # strict mode relates outcomes only: the one through a keeps p from
+    # a on, so no related play satisfies the deep formula's <R> !p
+    for inst, strict_ok in ((depth1, True), (depth2, False)):
         result = synthesize_fully_uniform(inst)
         assert result.exists
         assert all(s.transducer_states > 0 for s in result.trace)
         assert check_uniform(inst, result.strategy, "full").ok
+        assert check_uniform(inst, result.strategy, "strict").ok == strict_ok

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from conftest import make_branching, make_g0, plays_up_to, random_transducer
+from conftest import (make_branching, make_g0, play_projection_transducers,
+                      plays_up_to, random_transducer)
 from unistrat.arena import Arena
 from unistrat.errors import EncodingError, InputFormatError
 from unistrat.transducer import (EPSILON, Transducer,
@@ -10,8 +11,7 @@ from unistrat.transducer import (EPSILON, Transducer,
                                  build_observation_equivalence, compose,
                                  format_transducer, identity_transducer,
                                  length_transducer, parse_transducer,
-                                 play_projection_transducers, recognizes,
-                                 restrict_to_plays, trim, union)
+                                 recognizes, restrict_to_plays, trim, union)
 
 
 def words_up_to(alphabet, max_len):
