@@ -190,10 +190,11 @@ def cmd_dump(args) -> int:
         phi = parse_formula(formula_text)
         if r_depth(phi) != 0:
             raise UnistratError("automaton dump needs a plain LTL formula")
-        nba = ltl_to_nba(phi)
+        caps = _caps(args)
+        nba = ltl_to_nba(phi, caps=caps)
         print(f"nba states={len(nba.states)} initial={len(nba.initial)} "
               f"accepting={len(nba.accepting)}")
-        dpa = ltl_to_dpa(phi)
+        dpa = ltl_to_dpa(phi, caps=caps)
         print(f"dpa states={len(dpa.states)} "
               f"priorities={sorted(set(dpa.priority.values()))} "
               f"construction={dpa.construction}")
@@ -205,8 +206,7 @@ def cmd_dump(args) -> int:
         phi = parse_formula(formula_text)
         if not args.no_restrict:
             fst = trim(restrict_to_plays(fst, arena))
-        caps = Caps(power_positions=args.max_power_positions)
-        _, _, phi_hat, report = eliminate_r(arena, fst, phi, caps)
+        _, _, phi_hat, report = eliminate_r(arena, fst, phi, _caps(args))
         sys.stdout.write(format_marking_report(report))
         print(f"rewritten: {format_formula(phi_hat)}")
     else:
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="powerset: arena fst; automaton: formula; "
                              "marking: arena fst formula")
     p_dump.add_argument("--no-restrict", action="store_true")
-    p_dump.add_argument("--max-power-positions", type=int, default=10 ** 6)
+    _add_cap_flags(p_dump)
     p_dump.set_defaults(func=cmd_dump)
 
     return parser

@@ -23,47 +23,69 @@ __all__ = [
 
 
 class Formula:
-    """Base class for AST nodes."""
+    """Base class for AST nodes.
 
-    __slots__ = ()
+    A node's hash is computed once, when it is made: hashing walks the
+    whole subtree, and formulas are looked up far more often than made.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __post_init__(self):
+        fields = tuple(getattr(self, name) for name in self.__match_args__)
+        object.__setattr__(self, "_hash", hash((type(self).__name__, fields)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: hash afresh when loaded
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __str__(self):
         return format_formula(self)
 
 
-@dataclass(frozen=True, slots=True)
+def _node(cls):
+    """A frozen, slotted node class that keeps the cached hash (a
+    `__hash__` of the class's own tells `dataclass` not to make one)."""
+    cls.__hash__ = Formula.__hash__
+    return dataclass(frozen=True, slots=True)(cls)
+
+
+@_node
 class Const(Formula):
     value: bool
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Next(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Until(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class R(Formula):
     sub: Formula
 

@@ -6,9 +6,13 @@ parity game with Zielonka's algorithm, extracting positional strategies.
 A Boolean combination of `G F s` and `F G s` over state formulas gets the
 automaton of its Zielonka tree directly; any other objective is first
 translated into a nondeterministic Buchi word automaton (on-the-fly
-expansion of its negation normal form), which is used as it is when
-deterministic and otherwise determinized (Safra/Piterman compact trees).
-Automaton states and game nodes are numbered once, by `graph.reachable`.
+expansion of its negation normal form).  That automaton is used as it is
+when deterministic; when it is terminal (co-safety: a run accepts once it
+reaches an accepting state that loops on every letter) it gets a subset
+construction; otherwise it is determinized (Safra/Piterman compact trees).
+The subset construction, Safra and every search over a Buchi automaton
+skip its dead states, those that reach no accepting state.  Automaton
+states and game nodes are numbered once, by `graph.reachable`.
 
 Letters are sets of proposition names (frozensets).  Priorities use the
 min-even convention: the protagonist (player 0) wins a play iff the least
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from .arena import Arena, Strategy
 from .errors import CapExceeded, EncodingError
 from .formula import And, Atom, Const, Formula, Next, Not, Until, atoms, r_depth
-from .graph import components, reachable
+from .graph import components, live, reachable
 
 __all__ = [
     "Caps", "BuchiAutomaton", "ParityAutomaton", "ParityGame",
@@ -70,12 +74,15 @@ def _alphabet(ap, letters) -> tuple:
 
 @dataclass
 class BuchiAutomaton:
+    """`live` holds the states that reach an accepting state; the others
+    accept no word, so searches and determinization leave them out."""
     ap: tuple
     letters: tuple
     states: tuple
     initial: frozenset
     accepting: frozenset
     transitions: dict  # (state, letter) -> frozenset of states
+    live: frozenset
 
     def successors(self, q, letter):
         return self.transitions[(q, frozenset(letter) & frozenset(self.ap))]
@@ -91,10 +98,10 @@ class BuchiAutomaton:
         def successors(node):
             q, i = node
             j = i + 1 if i + 1 < total else loop_to
-            return [(q2, j) for q2 in self.transitions[(q, word[i])]]
+            return [(q2, j) for q2 in self.transitions[(q, word[i])] if q2 in self.live]
 
         # accepting run <=> some reachable accepting node lies on a cycle
-        nodes, succ, _ = reachable([(q, 0) for q in self.initial], successors)
+        nodes, succ, _ = reachable([(q, 0) for q in self.initial & self.live], successors)
         accepting = [q in self.accepting for q, _ in nodes]
         return any(found for _, found in components(succ, accepting))
 
@@ -225,7 +232,8 @@ def ltl_to_nba(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> BuchiAu
     acceptance set, the moves that do not postpone it, and a counter
     degeneralizes these into accepting states.  States are numbered
     0..n-1 in discovery order, a rejecting sink last when some letter has
-    no move, so transitions are total per letter.
+    no move, so transitions are total per letter.  The live states are
+    found once, from the distinct moves of each state.
     """
     if r_depth(psi) != 0:
         raise ValueError("ltl_to_nba needs a plain LTL formula")
@@ -269,6 +277,7 @@ def ltl_to_nba(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> BuchiAu
 
     state(1 << root, 0)
     transitions = {}
+    reach = []   # per state, the states its moves lead to
     for q, (c, level) in enumerate(keys):   # appended to while walked
         start = 0 if level == k else level
 
@@ -290,8 +299,10 @@ def ltl_to_nba(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> BuchiAu
                     if not any((n, p) != (nxt, post) and not (n & ~nxt or p & ~post)
                                for n, p in fit))
             transitions[(q, letter)] = reads[fit]
+        reach.append(frozenset().union(*reads.values()))
     states = list(range(len(keys)))
     accepting = frozenset(q for q, (_, level) in enumerate(keys) if level == k)
+    _, alive = live([0], reach.__getitem__, accepting.__contains__)
     if not all(transitions.values()):
         sink = len(states)
         states.append(sink)
@@ -304,7 +315,21 @@ def ltl_to_nba(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> BuchiAu
             transitions[(sink, letter)] = frozenset([sink])
     return BuchiAutomaton(ap=ap, letters=letters, states=tuple(states),
                           initial=frozenset([0]), accepting=accepting,
-                          transitions=transitions)
+                          transitions=transitions, live=frozenset(alive))
+
+
+def _trimmed(nba: BuchiAutomaton) -> BuchiAutomaton:
+    """nba without its dead states; every other state keeps its language,
+    and a (state, letter) pair may be left with no successor."""
+    alive = nba.live
+    if len(alive) == len(nba.states):
+        return nba
+    return BuchiAutomaton(
+        ap=nba.ap, letters=nba.letters,
+        states=tuple(q for q in nba.states if q in alive),
+        initial=nba.initial & alive, accepting=nba.accepting, live=alive,
+        transitions={(q, letter): targets & alive
+                     for (q, letter), targets in nba.transitions.items() if q in alive})
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +409,9 @@ def determinize(nba: BuchiAutomaton, caps: Caps = DEFAULT_CAPS) -> ParityAutomat
     gives 2i, the death of node i gives 2i - 1, and a quiet step gives the
     neutral odd value 2n + 1.  The priority is attached to the target state.
     States are numbered 0..n-1 in breadth-first order, the initial one 0.
+    Dead states of nba are left out of the trees.
     """
+    nba = _trimmed(nba)
     n = len(nba.states)
     neutral = 2 * n + 1
 
@@ -652,6 +679,46 @@ def _nba_as_dpa(nba: BuchiAutomaton, caps: Caps) -> ParityAutomaton:
     return dpa
 
 
+def _terminal_states(nba: BuchiAutomaton):
+    """The accepting states of nba that loop on every letter, when every
+    accepting state on a cycle does (nba is terminal), else None.  A run
+    of a terminal automaton visits accepting states infinitely often iff
+    it reaches one of these states, so its language is co-safety.  The
+    states of nba must be numbered 0..n-1, as `ltl_to_nba` numbers them."""
+    succ = [sorted({t for letter in nba.letters for t in nba.transitions[(q, letter)]})
+            for q in nba.states]
+    final = frozenset(q for q in nba.accepting
+                      if all(q in nba.transitions[(q, letter)] for letter in nba.letters))
+    for members, accepting_cycle in components(succ, [q in nba.accepting for q in nba.states]):
+        if accepting_cycle and any(m in nba.accepting and m not in final for m in members):
+            return None
+    return final
+
+
+def _subset_dpa(nba: BuchiAutomaton, final, caps: Caps) -> ParityAutomaton:
+    """Subset construction for a terminal automaton (Kupferman & Vardi,
+    FMSD 2001): a state is the set of live states a prefix can reach, and
+    every set holding a state of final is one absorbing accepting state,
+    entered with priority 0; every other state is entered with priority 1."""
+    accept = (None, 0)
+
+    def state(subset):
+        subset &= nba.live
+        return accept if subset & final else (subset, 1)
+
+    def successors(current):
+        if current is accept:
+            return [accept] * len(nba.letters)
+        return [state(frozenset().union(*(nba.transitions[(q, letter)] for q in current[0])))
+                for letter in nba.letters]
+
+    states, succ, _ = reachable([state(nba.initial)], successors, caps.dpa_states,
+                                "parity automaton states")
+    dpa = _numbered(nba.ap, nba.letters, states, succ)
+    dpa.construction = "subset"
+    return dpa
+
+
 def ltl_to_dpa(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> ParityAutomaton:
     """Deterministic parity automaton of a plain LTL formula over the given
     letters (by default every letter over its atoms), built the cheapest
@@ -662,10 +729,12 @@ def ltl_to_dpa(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> ParityA
        no Buchi automaton built;
     2. otherwise a Buchi automaton with one successor per (state, letter)
        is used as it is;
-    3. any other Buchi automaton is determinized by Safra's construction.
+    3. a terminal Buchi automaton gets a subset construction over its live
+       states;
+    4. any other Buchi automaton is determinized by Safra's construction.
 
     Every path respects caps.dpa_states; `construction` on the result says
-    which one ran ("zielonka-tree", "nba" or "safra").
+    which one ran ("zielonka-tree", "nba", "subset" or "safra").
     """
     if r_depth(psi) != 0:
         raise ValueError("ltl_to_dpa needs a plain LTL formula")
@@ -676,6 +745,9 @@ def ltl_to_dpa(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> ParityA
     nba = ltl_to_nba(psi, letters=letters, caps=caps)
     if all(len(targets) == 1 for targets in nba.transitions.values()):
         return _nba_as_dpa(nba, caps)
+    final = _terminal_states(nba)
+    if final is not None:
+        return _subset_dpa(nba, final, caps)
     return determinize(nba, caps=caps)
 
 

@@ -43,6 +43,10 @@ def _violation_graph(arena: Arena, psi: Formula, sources, caps: Caps):
     for u in sources, numbered by `graph.reachable`; its accepting traces
     are the traces violating psi.  Returns the (position, accepting, succ,
     parent) lists of its nodes.
+
+    Nodes with a dead NBA state are left out: they lie on no accepting
+    trace, and their successors are dead too, so the breadth-first order
+    of the other nodes, and the witnesses read from it, stay the same.
     """
     ap = frozenset(atoms(psi))
     letter_of = [arena.labels[u] & ap for u in arena.positions]
@@ -51,7 +55,7 @@ def _violation_graph(arena: Arena, psi: Formula, sources, caps: Caps):
     # ltl_to_nba numbers its states 0..n-1; sorted reads keep searches
     # (and witnesses) reproducible
     nq = len(nba.states)
-    reads = {key: sorted(targets) for key, targets in nba.transitions.items()}
+    reads = {key: sorted(targets & nba.live) for key, targets in nba.transitions.items()}
     moves = [[arena.index(w) * nq for w in arena.successors(u)]
              for u in arena.positions]
 
@@ -59,7 +63,8 @@ def _violation_graph(arena: Arena, psi: Formula, sources, caps: Caps):
         u, q = divmod(node, nq)
         return [w + q2 for q2 in reads[(q, letter_of[u])] for w in moves[u]]
 
-    seeds = [arena.index(u) * nq + q for u in sources for q in sorted(nba.initial)]
+    seeds = [arena.index(u) * nq + q for u in sources
+             for q in sorted(nba.initial & nba.live)]
     nodes, succ, parent = reachable(seeds, successors, caps.product_nodes,
                                     "marker product nodes")
     position = [arena.positions[node // nq] for node in nodes]
@@ -111,22 +116,26 @@ def position_models_ltl(arena: Arena, v, psi: Formula, caps: Caps = DEFAULT_CAPS
     return trace_counterexample(arena, v, psi, caps=caps) is None
 
 
-def satisfying_positions(arena: Arena, psi: Formula, caps: Caps = DEFAULT_CAPS) -> frozenset:
-    """All positions from which every infinite trace satisfies psi.
+def _failing_positions(arena: Arena, psi: Formula, sources, caps: Caps) -> set:
+    """The positions among sources with an infinite trace that violates psi.
 
-    One product seeded at every position and one SCC pass decide every
-    position: a component is bad iff it holds an accepting cycle or reaches
-    a bad component, which arrives before it.  A position fails iff one of
-    its seeds is bad.
+    One product seeded at every source and one SCC pass decide them all: a
+    component is bad iff it holds an accepting cycle or reaches a bad
+    component, which arrives before it.  A position fails iff one of its
+    seeds is bad.
     """
-    position, accepting, succ, parent = _violation_graph(
-        arena, psi, arena.positions, caps)
+    position, accepting, succ, parent = _violation_graph(arena, psi, sources, caps)
     bad = [False] * len(succ)
     for members, accepting_cycle in components(succ, accepting):
         if accepting_cycle or any(bad[t] for m in members for t in succ[m]):
             for m in members:
                 bad[m] = True
-    failing = {position[i] for i, p in enumerate(parent) if p < 0 and bad[i]}
+    return {position[i] for i, p in enumerate(parent) if p < 0 and bad[i]}
+
+
+def satisfying_positions(arena: Arena, psi: Formula, caps: Caps = DEFAULT_CAPS) -> frozenset:
+    """All positions from which every infinite trace satisfies psi."""
+    failing = _failing_positions(arena, psi, arena.positions, caps)
     return frozenset(u for u in arena.positions if u not in failing)
 
 
@@ -151,16 +160,19 @@ def eliminate_r(arena: Arena, t, phi: Formula, caps: Caps = DEFAULT_CAPS):
     atom_sources: dict = {}
     marked_positions: dict = {}
     new_labels = {p: set(power.arena.labels[p]) for p in power.arena.positions}
+    # only positions some information set holds decide a marking
+    held = set().union(*(p.info for p in power.arena.positions))
+    sources = [u for u in arena.positions if u in held]
     for index, r_sub in enumerate(targets):
         name = fresh_atom_name(index, r_sub.sub, used)
         if name in used:
             raise NameCollisionError(f"fresh proposition {name!r} is already in use")
         used.add(name)
         atom_sources[name] = r_sub
-        good = satisfying_positions(arena, r_sub.sub, caps=caps)
+        failing = _failing_positions(arena, r_sub.sub, sources, caps)
         marked = []
         for p in power.arena.positions:
-            if p.info <= good:
+            if failing.isdisjoint(p.info):
                 marked.append(p)
                 new_labels[p].add(name)
         marked_positions[name] = marked

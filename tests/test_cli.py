@@ -290,6 +290,25 @@ def test_dump_dead_end_arena_rejected(g0_files, tmp_path, capsys):
         assert stdout == ""
 
 
+def test_dump_honours_caps(g0_files, capsys):
+    code, stdout, _ = run_cli(["dump", "automaton", "F(p & X q)"], capsys)
+    assert code == 0
+    assert "dpa states=3 priorities=[0, 1] construction=subset" in stdout
+    code, _, stderr = run_cli(["dump", "automaton", "F(p & X q)",
+                               "--max-dpa-states", "2"], capsys)
+    assert code == 2
+    assert "exceeds cap 2" in stderr
+    arena, fst = g0_files
+    code, _, _ = run_cli(["dump", "marking", arena, fst, "[R] G F p",
+                          "--max-product", "3"], capsys)
+    assert code == 0
+    code, stdout, stderr = run_cli(["dump", "marking", arena, fst, "[R] G F p",
+                                    "--max-product", "2"], capsys)
+    assert code == 2
+    assert "marker product nodes" in stderr
+    assert stdout == ""
+
+
 def test_dump_automaton_inline(capsys):
     code, stdout, _ = run_cli(["dump", "automaton", "G F p"], capsys)
     assert code == 0
@@ -347,27 +366,24 @@ def test_written_strategy_bytes_pinned(tmp_path, capsys):
          prefix + ".formula", "--no-restrict", "--out", str(out)], capsys)
     assert code == 0
     assert out.read_text() == """\
-strategy player=1 memory=m0,m1,m10,m11,m12,m2,m3,m4,m5,m6,m7,m8,m9 init=m0
+strategy player=1 memory=m0,m1,m10,m2,m3,m4,m5,m6,m7,m8,m9 init=m0
 upd m0 (-,s0) -> m1
 upd m1 >(f,s2) -> m2
-upd m1 >(u,s1) -> m10
-upd m10 (u,s1) -> m11
-upd m11 >(u,s1) -> m12
-upd m12 (u,s1) -> m11
+upd m1 >(u,s1) -> m8
+upd m10 (u,s1) -> m9
 upd m2 (f,s2) -> m3
 upd m3 >(o,s2) -> m4
 upd m4 (o,s2) -> m5
 upd m5 >(o,s2) -> m6
 upd m6 (o,s2) -> m7
-upd m7 >(o,s2) -> m8
-upd m8 (o,s2) -> m9
-upd m9 >(o,s2) -> m8
+upd m7 >(o,s2) -> m6
+upd m8 (u,s1) -> m9
+upd m9 >(u,s1) -> m10
 choose m10 >(u,s1) -> (u,s1)
-choose m12 >(u,s1) -> (u,s1)
 choose m2 >(f,s2) -> (f,s2)
 choose m4 >(o,s2) -> (o,s2)
 choose m6 >(o,s2) -> (o,s2)
-choose m8 >(o,s2) -> (o,s2)
+choose m8 >(u,s1) -> (u,s1)
 """
 
 

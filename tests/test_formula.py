@@ -1,5 +1,10 @@
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+from conftest import child_env
 from unistrat.errors import FormulaParseError, NameCollisionError
 from unistrat.formula import (And, Atom, Const, Next, Not, R, Until, atoms,
                               depth1_r_subformulas, format_formula, parse,
@@ -117,3 +122,22 @@ def test_subformulas_closed_under_subterms():
             assert g.sub in subs
         elif isinstance(g, (And, Until)):
             assert g.left in subs and g.right in subs
+
+
+def test_hash_cached_and_fresh_after_unpickling():
+    f = parse("G(p -> X (q U !r)) & [R] F p")
+    assert hash(f) == hash(parse(format_formula(f)))
+    assert hash(Not(Atom("p"))) != hash(Next(Atom("p")))
+    assert pickle.loads(pickle.dumps(f)) == f
+    # string hashes differ between processes: a formula pickled under
+    # another hash seed must hash as one made here
+    script = ("import pickle, sys\n"
+              "from unistrat.formula import parse\n"
+              "sys.stdout.buffer.write(pickle.dumps(parse(sys.argv[1])))\n")
+    for seed in ("0", "77"):
+        proc = subprocess.run([sys.executable, "-c", script, format_formula(f)],
+                              capture_output=True, env=child_env(PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        loaded = pickle.loads(proc.stdout)
+        assert hash(loaded) == hash(f)
+        assert loaded in {f} and atoms(loaded) == {"p", "q", "r"}

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import sys
@@ -409,9 +410,15 @@ def accepts_from(dpa, q, cycle):
 
 
 def assert_matches_safra_and_oracle(f, oracle_stem=3):
-    """ltl_to_dpa agrees with Safra on every lasso with stem <= 3 and
-    cycle <= 3 over the formula's letters, and with lasso_eval on those
-    with stem <= oracle_stem.
+    """ltl_to_dpa agrees with Safra and lasso_eval, as assert_dpas_agree
+    checks."""
+    return assert_dpas_agree(ltl_to_dpa(f), determinize(ltl_to_nba(f)), f, oracle_stem)
+
+
+def assert_dpas_agree(dpa, safra, f, oracle_stem=3):
+    """dpa agrees with safra on every lasso with stem <= 3 and cycle <= 3
+    over the formula's letters, and with lasso_eval on those with stem <=
+    oracle_stem.
 
     Lassos that spell the same word are checked once: the cycle is
     primitive, and the stem does not end in the cycle's last letter.  Both
@@ -419,7 +426,6 @@ def assert_matches_safra_and_oracle(f, oracle_stem=3):
     states its stem leads to and by its cycle.
     """
     letters = all_letters(atoms(f))
-    dpa, safra = ltl_to_dpa(f), determinize(ltl_to_nba(f))
     stems = [stem for n in range(4) for stem in itertools.product(letters, repeat=n)]
     reached = {stem: (run(dpa, stem), run(safra, stem)) for stem in stems}
     for n in range(1, 4):
@@ -482,8 +488,81 @@ def test_deterministic_nba_used_as_dpa(rng):
         for _ in range(40):
             stem, cycle = rand_lasso(rng, props=tuple(sorted(atoms(f))))
             assert dpa.accepts_lasso(stem, cycle) == lasso_eval(stem, cycle, f)
-    dpa = ltl_to_dpa(parse("F(p & X q)"))
+    dpa = ltl_to_dpa(parse("F p -> F q"))
     assert dpa.construction == "safra"
+
+
+COSAFETY = ("F(p & X q)", "F(p & X X q)", "p U (q & X r)", "F(p & X !p)",
+            "F q & F(p & X q)")
+
+
+@pytest.mark.parametrize("text", COSAFETY)
+def test_subset_dpa_matches_safra_and_oracle(text):
+    f = parse(text)
+    dpa = assert_matches_safra_and_oracle(f, 3 if len(atoms(f)) < 3 else 1)
+    assert dpa.construction == "subset"
+    assert set(dpa.priority.values()) == {0, 1}
+
+
+def test_ltl_to_dpa_random_formulas(rng):
+    # every construction that reads an NBA, checked against the oracle
+    ran = set()
+    for _ in range(60):
+        f = rand_ltl(rng, rng.randint(2, 7))
+        dpa = ltl_to_dpa(f)
+        ran.add(dpa.construction)
+        for _ in range(20):
+            stem, cycle = rand_lasso(rng)
+            assert dpa.accepts_lasso(stem, cycle) == lasso_eval(stem, cycle, f), str(f)
+    assert {"nba", "subset", "safra"} <= ran
+
+
+def untrimmed(nba):
+    """nba with every state declared live, so nothing trims it."""
+    return dataclasses.replace(nba, live=frozenset(nba.states))
+
+
+def test_subset_dpa_sizes_and_cap():
+    # one absorbing accepting state, against Safra on the untrimmed and
+    # on the trimmed automaton
+    for text, states, safra, trimmed in (("F(p & X q)", 3, 16, 8),
+                                         ("F(p & X X q)", 5, 28, 12),
+                                         ("p U (q & X r)", 5, 30, 15)):
+        f = parse(text)
+        dpa = ltl_to_dpa(f)
+        assert len(dpa) == states, text
+        assert list(dpa.priority.values()).count(0) == 1, text
+        nba = ltl_to_nba(f)
+        assert len(determinize(untrimmed(nba))) == safra, text
+        assert len(determinize(nba)) == trimmed, text
+    with pytest.raises(CapExceeded, match="parity automaton states"):
+        ltl_to_dpa(parse("F(p & X X q)"), caps=Caps(dpa_states=4))
+    assert len(ltl_to_dpa(parse("F(p & X X q)"), caps=Caps(dpa_states=5))) == 5
+
+
+def test_trimmed_determinize_matches_untrimmed(rng):
+    texts = ["F pf -> F @R0", "(!pf) W (!pf & rn)", "F p -> F q", "F(p & X q)",
+             "G(p -> X X q)"]
+    texts += [str(rand_ltl(rng, rng.randint(3, 6))) for _ in range(12)]
+    trimmed_some = 0
+    for text in texts:
+        f = parse(text)
+        nba = ltl_to_nba(f)
+        dpa = determinize(nba)
+        assert_dpas_agree(dpa, determinize(untrimmed(nba)), f, oracle_stem=1)
+        trimmed_some += len(nba.live) < len(nba.states)
+    assert trimmed_some >= 5
+    for text, before, after in (("F pf -> F @R0", 17, 12), ("(!pf) W (!pf & rn)", 14, 11)):
+        nba = ltl_to_nba(parse(text))
+        assert len(determinize(untrimmed(nba))) == before
+        assert len(determinize(nba)) == after
+
+
+def test_nba_live_states():
+    # the rejecting sink and the obligations that only lead to it are dead
+    nba = ltl_to_nba(parse("F(p & X q)"))
+    assert nba.accepting <= nba.live < frozenset(nba.states)
+    assert max(nba.states) not in nba.live
 
 
 def test_new_constructions_respect_dpa_cap():
@@ -505,7 +584,7 @@ def test_solve_ltl_game_needs_no_safra_here(monkeypatch):
         raise AssertionError("Safra ran on an objective that does not need it")
 
     monkeypatch.setattr(ltlgame, "determinize", refuse)
-    for text in ("G F p & F G q", "G F p & F G !q", "G(p -> X !p)"):
+    for text in ("G F p & F G q", "G F p & F G !q", "G(p -> X !p)", "F(p & X q)"):
         psi = parse(text)
         for arena in (make_g0(), make_branching(owner_v0=1), make_branching(owner_v0=2)):
             sigma = solve_ltl_game(arena, psi, 1)
@@ -517,3 +596,5 @@ def test_solve_ltl_game_needs_no_safra_here(monkeypatch):
                                   [arena.labels[p[0]] for p in cycle], psi)
     assert solve_ltl_game(make_g0(), parse("G(p -> X !p)"), 1) is not None
     assert solve_ltl_game(make_branching(owner_v0=1), parse("G F p & F G !q"), 1) is not None
+    assert solve_ltl_game(make_g0(), parse("F(p & X q)"), 1) is None
+    assert solve_ltl_game(make_g0(), parse("F(p & X !p)"), 1) is not None
