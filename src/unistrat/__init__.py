@@ -17,7 +17,7 @@ from .errors import (CapExceeded, EncodingError, FormulaParseError,
 from .formula import Formula, depth1_r_subformulas, format_formula, parse, r_depth, substitute
 from .ltlgame import Caps, solve_ltl_game
 from .marker import eliminate_r, position_models_ltl
-from .powerset import build_power_arena, info_set_bruteforce, lift_transducer, power_step
+from .powerset import build_power_arena, lift_transducer, power_step
 from .synthesizer import (CheckResult, FusInstance, SynthesisResult,
                           check_uniform, pullback_strategy,
                           synthesize_fully_uniform)

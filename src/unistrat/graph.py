@@ -18,9 +18,12 @@ def reachable(seeds, successors, cap=None, what="graph nodes"):
 
     Returns (nodes, succ, parent): nodes[i] is node number i, succ[i] the
     numbers of its successors, parent[i] the node that discovered it (-1
-    for seeds).  Raises CapExceeded once more than cap nodes are found.
+    for seeds).  Raises CapExceeded once more than cap nodes are found,
+    the seeds included.
     """
     nodes = list(seeds)
+    if cap is not None and len(nodes) > cap:
+        raise CapExceeded(what, len(nodes), cap)
     ids = {node: i for i, node in enumerate(nodes)}
     parent = [-1] * len(nodes)
     succ: list = []

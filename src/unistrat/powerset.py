@@ -28,10 +28,8 @@ from .transducer import EPSILON, Transducer
 
 __all__ = [
     "PowerPosition", "PowerArena", "power_step", "build_power_arena",
-    "info_set_bruteforce", "LiftedRelation", "lift_transducer",
+    "LiftedRelation", "lift_transducer",
 ]
-
-_INHERIT = object()  # closure marker: nothing written yet on this run
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,19 +71,22 @@ class PowerPosition:
         return f"{self.v}|S={{{states}}}|I={{{info}}}"
 
 
-def _canonical(v, state_set, last_map, t: Transducer, position_order) -> PowerPosition:
-    states = frozenset(state_set)
-    last = tuple(
-        (q, tuple(sorted(last_map.get(q, ()), key=position_order)))
-        for q in sorted(states, key=t.state_index.__getitem__)
-    )
-    info = frozenset().union(
-        *(set(outs) for q, outs in last if q in t.accepting)) if states else frozenset()
-    return PowerPosition(v=v, states=states, last=last, info=frozenset(info))
+def _canonical(v, last_map, t: Transducer, position_order) -> PowerPosition:
+    """The power position at v whose state set is the keys of last_map,
+    each state mapped to its set of last outputs."""
+    last = []
+    info: set = set()
+    for q in sorted(last_map, key=t.state_index.__getitem__):
+        outs = last_map[q]
+        last.append((q, tuple(sorted(outs, key=position_order))))
+        if q in t.accepting:
+            info.update(outs)
+    return PowerPosition(v=v, states=frozenset(last_map), last=tuple(last),
+                         info=frozenset(info))
 
 
 def _pre_initial(t: Transducer, position_order) -> PowerPosition:
-    return _canonical(None, {t.initial}, {t.initial: ()}, t, position_order)
+    return _canonical(None, {t.initial: ()}, t, position_order)
 
 
 def power_step(current: PowerPosition, next_v, t: Transducer,
@@ -94,9 +95,14 @@ def power_step(current: PowerPosition, next_v, t: Transducer,
 
     next_v must be an arena successor of the current underlying position
     (or the initial position when stepping from the artificial start).
-    Runs are explored by depth-first closure over (state, consumed, last
-    output) configurations, so epsilon-output cycles terminate; a run that
-    writes nothing bequeaths the previous last-output set of its source.
+    Runs are explored by one closure per step, shared by all states of
+    the summary.  A run that has written an output is a configuration
+    (state, consumed, last output) that no longer depends on where it
+    started, so each is expanded once.  Only runs that have written
+    nothing yet are searched per source state, over (state, consumed);
+    they bequeath the source's previous last outputs and join the shared
+    closure at their first write.  Visited sets make epsilon-output
+    cycles terminate.
     """
     if current.v is None:
         if next_v != arena.initial:
@@ -104,35 +110,50 @@ def power_step(current: PowerPosition, next_v, t: Transducer,
     elif next_v not in arena.successors(current.v):
         raise ValueError(f"{next_v!r} is not an arena successor of {current.v!r}")
 
-    new_states = set()
+    moves = t.transitions_from
     new_last: dict = {}
-    for q, outs in current.last:
-        inherited = outs
-        stack = [(q, False, _INHERIT)]
-        seen = {(q, False, _INHERIT)}
-        while stack:
-            state, consumed, last = stack.pop()
+    written: set = set()
+    stack = []   # written configurations not yet expanded
+    for q, inherited in current.last:
+        todo = [(q, False)]
+        seen = {(q, False)}
+        while todo:
+            state, consumed = todo.pop()
             if consumed:
-                new_states.add(state)
-                bucket = new_last.setdefault(state, set())
-                if last is _INHERIT:
-                    bucket.update(inherited)
-                else:
-                    bucket.add(last)
-            for a, b, state2 in t.transitions_from(state):
+                new_last.setdefault(state, set()).update(inherited)
+            for a, b, state2 in moves(state):
                 if a is EPSILON:
                     consumed2 = consumed
                 elif not consumed and a == next_v:
                     consumed2 = True
                 else:
                     continue
-                last2 = last if b is EPSILON else b
-                conf = (state2, consumed2, last2)
-                if conf not in seen:
-                    seen.add(conf)
-                    stack.append(conf)
-    order = _position_order(arena)
-    return _canonical(next_v, new_states, new_last, t, order)
+                if b is EPSILON:
+                    conf = (state2, consumed2)
+                    if conf not in seen:
+                        seen.add(conf)
+                        todo.append(conf)
+                else:
+                    conf = (state2, consumed2, b)
+                    if conf not in written:
+                        written.add(conf)
+                        stack.append(conf)
+    while stack:
+        state, consumed, last = stack.pop()
+        if consumed:
+            new_last.setdefault(state, set()).add(last)
+        for a, b, state2 in moves(state):
+            if a is EPSILON:
+                consumed2 = consumed
+            elif not consumed and a == next_v:
+                consumed2 = True
+            else:
+                continue
+            conf = (state2, consumed2, last if b is EPSILON else b)
+            if conf not in written:
+                written.add(conf)
+                stack.append(conf)
+    return _canonical(next_v, new_last, t, _position_order(arena))
 
 
 def _position_order(arena: Arena):
@@ -212,48 +233,6 @@ def build_power_arena(arena: Arena, t: Transducer, cap: int = 10 ** 6) -> PowerA
         name=f"pow({arena.name})",
     )
     return PowerArena(arena, t, power, pre, step_map)
-
-
-def info_set_bruteforce(arena: Arena, t: Transducer, rho) -> frozenset:
-    """Endpoints of plays related to rho, by exact configuration search.
-
-    Configurations pair a transducer state with the consumed input length
-    and the last output position (which also serves as the play-prefix
-    state of the output tape); related plays are never enumerated, only
-    their reachable endpoints.
-    """
-    rho = tuple(rho)
-    if not arena.is_play(rho):
-        raise ValueError("rho is not a finite play of the arena")
-    n = len(rho)
-    start = (t.initial, 0, None)
-    seen = {start}
-    queue = deque([start])
-    out = set()
-    while queue:
-        q, i, last_out = queue.popleft()
-        if i == n and q in t.accepting and last_out is not None:
-            out.add(last_out)
-        for a, b, q2 in t.transitions_from(q):
-            if a is EPSILON:
-                i2 = i
-            elif i < n and rho[i] == a:
-                i2 = i + 1
-            else:
-                continue
-            if b is EPSILON:
-                out2 = last_out
-            elif last_out is None and b == arena.initial:
-                out2 = b
-            elif last_out is not None and b in arena.successors(last_out):
-                out2 = b
-            else:
-                continue
-            conf = (q2, i2, out2)
-            if conf not in seen:
-                seen.add(conf)
-                queue.append(conf)
-    return frozenset(out)
 
 
 class _Accepting:

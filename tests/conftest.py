@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,49 @@ def play_projection_transducers(arena: Arena, project, plain_alphabet=None) -> t
     t_up = Transducer(states, plain, structured, start, list(arena.positions),
                       up, name="up")
     return t_down, t_up
+
+
+def info_set_bruteforce(arena: Arena, t: Transducer, rho) -> frozenset:
+    """Endpoints of plays related to rho, by exact configuration search:
+    the reference the power arena's information sets are tested against.
+
+    Configurations pair a transducer state with the consumed input length
+    and the last output position (which also serves as the play-prefix
+    state of the output tape); related plays are never enumerated, only
+    their reachable endpoints.
+    """
+    rho = tuple(rho)
+    if not arena.is_play(rho):
+        raise ValueError("rho is not a finite play of the arena")
+    n = len(rho)
+    start = (t.initial, 0, None)
+    seen = {start}
+    queue = deque([start])
+    out = set()
+    while queue:
+        q, i, last_out = queue.popleft()
+        if i == n and q in t.accepting and last_out is not None:
+            out.add(last_out)
+        for a, b, q2 in t.transitions_from(q):
+            if a is EPSILON:
+                i2 = i
+            elif i < n and rho[i] == a:
+                i2 = i + 1
+            else:
+                continue
+            if b is EPSILON:
+                out2 = last_out
+            elif last_out is None and b == arena.initial:
+                out2 = b
+            elif last_out is not None and b in arena.successors(last_out):
+                out2 = b
+            else:
+                continue
+            conf = (q2, i2, out2)
+            if conf not in seen:
+                seen.add(conf)
+                queue.append(conf)
+    return frozenset(out)
 
 
 def positional_strategies(arena: Arena, player: int):

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (child_env, lassos_of, make_branching, make_g0,
-                      positional_strategies, plays_up_to, random_arena,
-                      random_transducer)
+from conftest import (child_env, info_set_bruteforce, lassos_of,
+                      make_branching, make_g0, positional_strategies,
+                      plays_up_to, random_arena, random_transducer)
 from unistrat.arena import Arena, Strategy, outcome_arena
 from unistrat.encoders import (encode_dependence_game, encode_diagnosability,
                                encode_imperfect_info, encode_noninterference,
@@ -26,8 +26,7 @@ from unistrat.ltlgame import Caps, ParityGame, determinize, ltl_to_nba, solve_pa
 from unistrat.marker import eliminate_r, trace_counterexample
 from unistrat.oracle import (bounded_semantics, dl_eval, lasso_eval,
                              twin_plant_diagnosable)
-from unistrat.powerset import (build_power_arena, info_set_bruteforce,
-                               lift_transducer)
+from unistrat.powerset import build_power_arena, lift_transducer
 from unistrat.synthesizer import (FusInstance, check_uniform,
                                   synthesize_fully_uniform)
 from unistrat.transducer import (build_morphism_equivalence,

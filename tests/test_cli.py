@@ -307,6 +307,12 @@ def test_dump_honours_caps(g0_files, capsys):
     assert code == 2
     assert "marker product nodes" in stderr
     assert stdout == ""
+    # the two seeds of the product alone exceed the cap
+    code, stdout, stderr = run_cli(["dump", "marking", arena, fst, "[R] F p",
+                                    "--max-product", "1"], capsys)
+    assert code == 2
+    assert "marker product nodes: 2 exceeds cap 1" in stderr
+    assert stdout == ""
 
 
 def test_dump_automaton_inline(capsys):

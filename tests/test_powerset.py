@@ -2,12 +2,12 @@ import itertools
 
 import pytest
 
-from conftest import (make_branching, make_g0, play_projection_transducers,
-                      plays_up_to, random_arena, random_transducer)
+from conftest import (info_set_bruteforce, make_branching, make_g0,
+                      play_projection_transducers, plays_up_to, random_arena,
+                      random_transducer)
 from unistrat.arena import Arena
 from unistrat.errors import CapExceeded
-from unistrat.powerset import (build_power_arena, info_set_bruteforce,
-                               lift_transducer, power_step)
+from unistrat.powerset import build_power_arena, lift_transducer, power_step
 from unistrat.graph import reachable
 from unistrat.transducer import (EPSILON, Transducer, compose,
                                  identity_transducer, length_transducer,
@@ -96,6 +96,31 @@ def test_power_step_epsilon_output_loop_terminates_and_inherits():
         {(q, o) for q, outs in second.last for o in outs}
 
 
+def test_power_step_keeps_inherited_outputs_apart():
+    # after reading x, a has written x and b has written y; reading y,
+    # both carry their own output unwritten (to a2, b2 and d) and both
+    # write z on epsilon input into the same configuration of c
+    arena = Arena(["x", "y", "z"], {"x": 1, "y": 2, "z": 1},
+                  [("x", "y"), ("y", "x"), ("y", "z"), ("z", "y")], "x", {})
+    states = ["s", "a", "b", "a2", "b2", "c", "d"]
+    t = Transducer(states, frozenset(arena.positions), frozenset(arena.positions),
+                   "s", states,
+                   [("s", "x", "x", "a"), ("s", "x", "y", "b"),
+                    ("a", "y", EPSILON, "a2"), ("b", "y", EPSILON, "b2"),
+                    ("a2", EPSILON, EPSILON, "d"), ("b2", EPSILON, EPSILON, "d"),
+                    ("a2", EPSILON, "z", "c"), ("b2", EPSILON, "z", "c")])
+    pre = build_power_arena(arena, t).pre_initial
+    second = power_step(power_step(pre, "x", t, arena), "y", t, arena)
+    runs = runs_to(t, ("x", "y"))
+    assert second.states == {q for q, _ in runs} == {"a2", "b2", "c", "d"}
+    for q in second.states:
+        assert second.last_of(q) == {o for q2, o in runs if q2 == q}
+    assert second.last_of("a2") == {"x"}
+    assert second.last_of("b2") == {"y"}
+    assert second.last_of("d") == {"x", "y"}
+    assert second.last_of("c") == {"z"}
+
+
 def test_power_step_rejects_non_successor():
     g0 = make_g0()
     t = restricted(identity_transducer(g0.positions), g0)
@@ -121,6 +146,13 @@ def test_build_power_arena_cap():
     t = restricted(length_transducer(arena.positions), arena)
     with pytest.raises(CapExceeded):
         build_power_arena(arena, t, cap=1)
+
+
+def test_reachable_counts_seeds_against_cap():
+    with pytest.raises(CapExceeded):
+        reachable(["a", "b", "c"], lambda node: [], cap=2)
+    nodes, _, _ = reachable(["a", "b", "c"], lambda node: [], cap=3)
+    assert nodes == ["a", "b", "c"]
 
 
 def test_info_set_bruteforce_examples():
@@ -156,11 +188,24 @@ def test_information_sets_match_bruteforce_random(rng):
                 info_set_bruteforce(arena, t, play)
 
 
+def with_writer(rng, t):
+    """t plus epsilon-input moves writing every symbol from one state, as
+    the relation of a dependence-logic game has: summaries then hold
+    several states whose runs write into the same configurations."""
+    writer = rng.choice(t.states)
+    moves = [(writer, EPSILON, b, rng.choice(t.states))
+             for b in sorted(t.output_alphabet, key=str)]
+    return Transducer(t.states, t.input_alphabet, t.output_alphabet, t.initial,
+                      t.accepting, t.transitions + tuple(moves), name=t.name)
+
+
 def test_state_and_last_sets_match_run_enumeration(rng):
-    for _ in range(8):
+    for k in range(16):
         arena = random_arena(rng, max_positions=5)
-        t = restricted(random_transducer(rng, frozenset(arena.positions),
-                                         max_states=3), arena)
+        t = random_transducer(rng, frozenset(arena.positions), max_states=3)
+        if k % 2:
+            t = with_writer(rng, t)
+        t = restricted(t, arena)
         power = build_power_arena(arena, t)
         for play in plays_up_to(arena, 4):
             summary = power.lift_play(play)[-1]
