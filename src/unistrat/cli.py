@@ -23,7 +23,8 @@ from .ltlgame import Caps, ltl_to_dpa, ltl_to_nba
 from .marker import eliminate_r, format_marking_report
 from .powerset import build_power_arena
 from .synthesizer import FusInstance, check_uniform, synthesize_fully_uniform
-from .transducer import format_transducer, parse_transducer, restrict_to_plays, trim
+from .transducer import (check_alphabet, format_transducer, parse_transducer,
+                         restrict_to_plays, trim)
 
 
 def _read(path):
@@ -57,6 +58,14 @@ def _load_arena(path):
     if diagnostics:
         raise EncodingError(diagnostics[0])
     return arena
+
+
+def _load_relation(path, arena, no_restrict):
+    """Parse a transducer, reject a symbol that is not an arena position,
+    and restrict it to plays unless asked not to, as FusInstance.make does."""
+    fst = parse_transducer(_read(path))
+    check_alphabet(fst, arena)
+    return fst if no_restrict else trim(restrict_to_plays(fst, arena))
 
 
 def _load_formula(args):
@@ -180,9 +189,7 @@ def cmd_dump(args) -> int:
     if args.what == "powerset":
         arena_path, fst_path = _expect_inputs(args, 2, "<arena> <fst>")
         arena = _load_arena(arena_path)
-        fst = parse_transducer(_read(fst_path))
-        if not args.no_restrict:
-            fst = trim(restrict_to_plays(fst, arena))
+        fst = _load_relation(fst_path, arena, args.no_restrict)
         power = build_power_arena(arena, fst, cap=args.max_power_positions)
         sys.stdout.write(format_arena(power.arena))
     elif args.what == "automaton":
@@ -202,10 +209,8 @@ def cmd_dump(args) -> int:
         arena_path, fst_path, formula_text = _expect_inputs(
             args, 3, "<arena> <fst> <formula>")
         arena = _load_arena(arena_path)
-        fst = parse_transducer(_read(fst_path))
+        fst = _load_relation(fst_path, arena, args.no_restrict)
         phi = parse_formula(formula_text)
-        if not args.no_restrict:
-            fst = trim(restrict_to_plays(fst, arena))
         _, _, phi_hat, report = eliminate_r(arena, fst, phi, _caps(args))
         sys.stdout.write(format_marking_report(report))
         print(f"rewritten: {format_formula(phi_hat)}")

@@ -23,7 +23,7 @@ from .graph import reachable
 from .ltlgame import Caps, DEFAULT_CAPS, solve_ltl_game
 from .marker import eliminate_r, trace_counterexample
 from .powerset import LiftedRelation
-from .transducer import Transducer, restrict_to_plays, trim
+from .transducer import Transducer, check_alphabet, restrict_to_plays, trim
 
 __all__ = [
     "FusInstance", "IterationStats", "SynthesisResult", "CheckResult",
@@ -51,12 +51,8 @@ class FusInstance:
         diagnostics = validate(arena)
         if diagnostics:
             raise EncodingError(diagnostics[0])
+        check_alphabet(transducer, arena)
         positions = frozenset(arena.positions)
-        stray = (transducer.input_alphabet | transducer.output_alphabet) - positions
-        if stray:
-            raise EncodingError(
-                f"transducer symbol {sorted(map(str, stray))[0]!r} is not an "
-                "arena position")
         if (transducer.input_alphabet != positions
                 or transducer.output_alphabet != positions):
             transducer = Transducer(

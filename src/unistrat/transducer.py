@@ -16,7 +16,7 @@ from .graph import live
 
 __all__ = [
     "EPSILON", "Transducer", "recognizes", "compose", "trim", "union",
-    "restrict_to_plays", "build_observation_equivalence",
+    "check_alphabet", "restrict_to_plays", "build_observation_equivalence",
     "build_morphism_equivalence", "identity_transducer", "length_transducer",
     "parse_transducer", "format_transducer",
 ]
@@ -181,19 +181,53 @@ def union(t1: Transducer, t2: Transducer, name=None) -> Transducer:
                       accepting, transitions, name=name or f"{t1.name}|{t2.name}")
 
 
+def check_alphabet(t: Transducer, arena: Arena) -> None:
+    """Reject a transducer that reads or writes a symbol that is not an
+    arena position, naming the first such symbol."""
+    stray = (t.input_alphabet | t.output_alphabet) - frozenset(arena.positions)
+    if stray:
+        raise EncodingError(
+            f"transducer symbol {sorted(map(str, stray))[0]!r} is not an "
+            "arena position")
+
+
 def restrict_to_plays(t: Transducer, arena: Arena) -> Transducer:
     """Intersect the relation with pairs of finite plays of the arena.
 
     Three-way product: both tapes are additionally run through a prefix
     automaton of the arena (state = last position seen, None before the
     first one); acceptance requires both tapes to hold nonempty plays.
+
+    Each state of t has its moves indexed by symbol on first visit, so a
+    product state costs the moves the play automaton admits, not all moves
+    of its transducer state.  Transitions keep t's move order, and states
+    are numbered in breadth-first order, as a scan of every move would.
     """
-    def step(last, v):
-        if v not in arena:
-            return False, None
-        if last is None:
-            return (v == arena.initial), v
-        return (v in arena.successors(last)), v
+    index: dict = {}
+    allowed = {None: frozenset([arena.initial] if arena.initial in arena else [])}
+
+    def moves_of(q):
+        """(reads by input, epsilon-input writes by output, epsilon/epsilon),
+        each move carrying its rank in t.transitions_from(q)."""
+        moves = index.get(q)
+        if moves is None:
+            by_in, by_out, silent = {}, {}, []
+            for rank, (a, b, q2) in enumerate(t.transitions_from(q)):
+                move = (rank, a, b, q2)
+                if a is not EPSILON:
+                    by_in.setdefault(a, []).append(move)
+                elif b is not EPSILON:
+                    by_out.setdefault(b, []).append(move)
+                else:
+                    silent.append(move)
+            moves = index[q] = by_in, by_out, silent
+        return moves
+
+    def next_positions(last):
+        nxt = allowed.get(last)
+        if nxt is None:
+            nxt = allowed[last] = frozenset(arena.successors(last))
+        return nxt
 
     init = (None, t.initial, None)
     order = {init: None}
@@ -202,20 +236,16 @@ def restrict_to_plays(t: Transducer, arena: Arena) -> Transducer:
     while queue:
         state = queue.popleft()
         s_in, q, s_out = state
-        for a, b, q2 in t.transitions_from(q):
-            if a is EPSILON:
-                s_in2 = s_in
-            else:
-                ok, s_in2 = step(s_in, a)
-                if not ok:
-                    continue
-            if b is EPSILON:
-                s_out2 = s_out
-            else:
-                ok, s_out2 = step(s_out, b)
-                if not ok:
-                    continue
-            tgt = (s_in2, q2, s_out2)
+        by_in, by_out, silent = moves_of(q)
+        ins, outs = next_positions(s_in), next_positions(s_out)
+        # the rank sort restores t's move order, whatever the set order
+        matches = [m for v in ins for m in by_in.get(v, ())
+                   if m[2] is EPSILON or m[2] in outs]
+        matches += [m for v in outs for m in by_out.get(v, ())]
+        matches += silent
+        matches.sort()
+        for _, a, b, q2 in matches:
+            tgt = (s_in if a is EPSILON else a, q2, s_out if b is EPSILON else b)
             transitions.append((state, a, b, tgt))
             if tgt not in order:
                 order[tgt] = None

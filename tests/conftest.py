@@ -51,13 +51,15 @@ def random_arena(rng: random.Random, max_positions=8, props=("p", "q")):
     return Arena(names, owner, edges, "v0", labels, name="rand")
 
 
-def random_transducer(rng: random.Random, alphabet, max_states=5):
+def random_transducer(rng: random.Random, alphabet, max_states=5, moves=None):
+    """Moves pick each tape's symbol uniformly from alphabet and epsilon;
+    their number is `moves`, or random in [k, 3k] for k states."""
     k = rng.randint(1, max_states)
     states = [f"q{i}" for i in range(k)]
     accepting = rng.sample(states, rng.randint(1, k))
     symbols = sorted(alphabet, key=str)
     transitions = []
-    for _ in range(rng.randint(k, 3 * k)):
+    for _ in range(moves or rng.randint(k, 3 * k)):
         a = rng.choice(symbols + [EPSILON])
         b = rng.choice(symbols + [EPSILON])
         transitions.append((rng.choice(states), a, b, rng.choice(states)))

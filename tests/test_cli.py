@@ -290,6 +290,23 @@ def test_dump_dead_end_arena_rejected(g0_files, tmp_path, capsys):
         assert stdout == ""
 
 
+def test_dump_rejects_stray_transducer_symbol(g0_files, tmp_path, capsys):
+    arena, _ = g0_files
+    fst = tmp_path / "zz.fst"
+    fst.write_text(FST_ID + "trans q0 zz v1 q0\n")
+    message = "transducer symbol 'zz' is not an arena position"
+    code, _, stderr = run_cli(["solve", arena, str(fst), "[R] p"], capsys)
+    assert code == 2
+    assert message in stderr
+    for args in (["powerset", arena, str(fst)],
+                 ["marking", arena, str(fst), "[R] p"]):
+        for extra in ([], ["--no-restrict"]):
+            code, stdout, stderr = run_cli(["dump"] + args + extra, capsys)
+            assert code == 2, args + extra
+            assert message in stderr
+            assert stdout == ""
+
+
 def test_dump_honours_caps(g0_files, capsys):
     code, stdout, _ = run_cli(["dump", "automaton", "F(p & X q)"], capsys)
     assert code == 0

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import (make_branching, make_g0, play_projection_transducers,
-                      plays_up_to, random_transducer)
+                      plays_up_to, random_arena, random_transducer)
 from unistrat.arena import Arena
 from unistrat.errors import EncodingError, InputFormatError
 from unistrat.transducer import (EPSILON, Transducer,
@@ -149,16 +149,59 @@ def test_restrict_to_plays_examples():
 
 
 def test_restrict_relates_only_play_pairs(rng):
-    arena = make_branching()
-    for _ in range(5):
-        t = random_transducer(rng, frozenset(arena.positions), max_states=3)
-        restricted = restrict_to_plays(t, arena)
-        plays = set(plays_up_to(arena, 3))
-        words = words_up_to(arena.positions, 3)
-        for w in words:
-            for w2 in words:
-                if recognizes(restricted, w, w2):
-                    assert w in plays and w2 in plays
+    """restricted relates (w, w2) iff t does and both are nonempty plays, for
+    random transducers with epsilon on either tape and a non-position symbol;
+    dense moves make some pairs of plays related."""
+    arenas = [make_branching()] + [random_arena(rng, max_positions=4) for _ in range(6)]
+    related = 0
+    for arena in arenas:
+        alphabet = frozenset(arena.positions) | {"zz"}
+        plays = set(plays_up_to(arena, 3))  # nonempty plays
+        words = set(words_up_to(sorted(alphabet), 2)) | plays
+        for _ in range(8):
+            t = random_transducer(rng, alphabet, max_states=3,
+                                  moves=3 * (len(alphabet) + 1))
+            restricted = restrict_to_plays(t, arena)
+            for w in words:
+                for w2 in words:
+                    expected = w in plays and w2 in plays and recognizes(t, w, w2)
+                    assert recognizes(restricted, w, w2) == expected, (w, w2)
+                    related += expected
+    assert related > 0
+
+
+def test_restrict_keeps_move_order():
+    """States come out breadth-first and each state's moves in t's order,
+    not in the arena's successor order nor grouped by tape."""
+    arena = make_branching()  # successors of v0: a, b
+    positions = frozenset(arena.positions)
+    t = Transducer(["q0"], positions, positions, "q0", ["q0"], [
+        ("q0", "b", EPSILON, "q0"),
+        ("q0", EPSILON, "a", "q0"),
+        ("q0", EPSILON, "v0", "q0"),
+        ("q0", "v0", "v0", "q0"),
+        ("q0", "a", "b", "q0"),
+        ("q0", EPSILON, EPSILON, "q0"),
+    ], name="order")
+    r = restrict_to_plays(t, arena)
+    s = [(None, "q0", None), (None, "q0", "v0"), ("v0", "q0", "v0"),
+         (None, "q0", "a"), ("b", "q0", "v0"), ("v0", "q0", "a"),
+         ("a", "q0", "b"), ("b", "q0", "a")]
+    assert r.name == "order|plays"
+    assert r.states == tuple(s)
+    assert r.accepting == {s[2], s[4], s[5], s[6], s[7]}
+    assert r.transitions == (
+        (s[0], EPSILON, "v0", s[1]), (s[0], "v0", "v0", s[2]),
+        (s[0], EPSILON, EPSILON, s[0]),
+        (s[1], EPSILON, "a", s[3]), (s[1], EPSILON, EPSILON, s[1]),
+        (s[2], "b", EPSILON, s[4]), (s[2], EPSILON, "a", s[5]),
+        (s[2], "a", "b", s[6]), (s[2], EPSILON, EPSILON, s[2]),
+        (s[3], EPSILON, EPSILON, s[3]),
+        (s[4], EPSILON, "a", s[7]), (s[4], EPSILON, EPSILON, s[4]),
+        (s[5], "b", EPSILON, s[7]), (s[5], EPSILON, EPSILON, s[5]),
+        (s[6], EPSILON, EPSILON, s[6]),
+        (s[7], EPSILON, EPSILON, s[7]),
+    )
 
 
 def obs_closure(arena, related_positions, max_len):
