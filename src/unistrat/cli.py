@@ -24,7 +24,7 @@ from .marker import eliminate_r, format_marking_report
 from .powerset import build_power_arena
 from .synthesizer import FusInstance, check_uniform, synthesize_fully_uniform
 from .transducer import (check_alphabet, format_transducer, parse_transducer,
-                         restrict_to_plays, trim)
+                         restrict_to_plays)
 
 
 def _read(path):
@@ -60,12 +60,12 @@ def _load_arena(path):
     return arena
 
 
-def _load_relation(path, arena, no_restrict):
+def _load_relation(path, arena):
     """Parse a transducer, reject a symbol that is not an arena position,
-    and restrict it to plays unless asked not to, as FusInstance.make does."""
+    and restrict it to plays, as FusInstance.make does."""
     fst = parse_transducer(_read(path))
     check_alphabet(fst, arena)
-    return fst if no_restrict else trim(restrict_to_plays(fst, arena))
+    return restrict_to_plays(fst, arena)
 
 
 def _load_formula(args):
@@ -83,8 +83,7 @@ def _load_instance(args):
     arena = parse_arena(_read(args.arena))
     fst = parse_transducer(_read(args.fst))
     phi = _load_formula(args)
-    return FusInstance.make(arena, fst, phi, protagonist=args.player,
-                            restrict=not args.no_restrict)
+    return FusInstance.make(arena, fst, phi, protagonist=args.player)
 
 
 def _print_result_block(pairs, fmt):
@@ -189,7 +188,7 @@ def cmd_dump(args) -> int:
     if args.what == "powerset":
         arena_path, fst_path = _expect_inputs(args, 2, "<arena> <fst>")
         arena = _load_arena(arena_path)
-        fst = _load_relation(fst_path, arena, args.no_restrict)
+        fst = _load_relation(fst_path, arena)
         power = build_power_arena(arena, fst, cap=args.max_power_positions)
         sys.stdout.write(format_arena(power.arena))
     elif args.what == "automaton":
@@ -209,7 +208,7 @@ def cmd_dump(args) -> int:
         arena_path, fst_path, formula_text = _expect_inputs(
             args, 3, "<arena> <fst> <formula>")
         arena = _load_arena(arena_path)
-        fst = _load_relation(fst_path, arena, args.no_restrict)
+        fst = _load_relation(fst_path, arena)
         phi = parse_formula(formula_text)
         _, _, phi_hat, report = eliminate_r(arena, fst, phi, _caps(args))
         sys.stdout.write(format_marking_report(report))
@@ -234,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--player", type=int, choices=(1, 2), default=1)
     p_solve.add_argument("--mode", choices=("full", "strict"), default="full")
     p_solve.add_argument("--out", help="write the synthesized strategy here")
-    p_solve.add_argument("--no-restrict", action="store_true",
-                         help="trust the transducer to relate plays only")
     p_solve.add_argument("--format", choices=("text", "kv"), default="kv")
     _add_cap_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
@@ -248,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--formula-file")
     p_check.add_argument("--player", type=int, choices=(1, 2), default=1)
     p_check.add_argument("--mode", choices=("strict", "full"), required=True)
-    p_check.add_argument("--no-restrict", action="store_true")
     p_check.add_argument("--format", choices=("text", "kv"), default="kv")
     _add_cap_flags(p_check)
     p_check.set_defaults(func=cmd_check)
@@ -268,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("inputs", nargs="*",
                         help="powerset: arena fst; automaton: formula; "
                              "marking: arena fst formula")
-    p_dump.add_argument("--no-restrict", action="store_true")
     _add_cap_flags(p_dump)
     p_dump.set_defaults(func=cmd_dump)
 

@@ -24,8 +24,8 @@ from .errors import EncodingError, InputFormatError
 from .formula import parse as parse_formula
 from .synthesizer import FusInstance
 from .transducer import (EPSILON, Transducer, build_morphism_equivalence,
-                         build_observation_equivalence, compose,
-                         identity_transducer, restrict_to_plays, trim, union)
+                         build_observation_equivalence, identity_transducer,
+                         position_groups, union)
 
 __all__ = [
     "ImpGame", "DesSystem", "NiSystem", "DlModel",
@@ -183,51 +183,29 @@ def encode_imperfect_info(raw: ImpGame, shifted: bool = False) -> ImpInfoEncodin
     actions = tuple(a for a in raw.actions
                     if any(a in available[s] for s in raw.states))
     if not shifted:
-        t = trim(build_observation_equivalence(arena, blocks, by_action=True))
+        t = build_observation_equivalence(arena, blocks)
         text = "G(p1 -> (" + " | ".join(f"[R] X p{a}" for a in actions) + "))"
-        inst = FusInstance.make(arena, t, parse_formula(text), protagonist=1,
-                                restrict=False)
+        inst = FusInstance.make(arena, t, parse_formula(text), protagonist=1)
         return ImpInfoEncoding(inst, "strict", text, action_of, arena)
     t = _shifted_observation_relation(arena, blocks)
     text = "G(" + " | ".join(f"[R] p{a}" for a in actions) + ")"
-    inst = FusInstance.make(arena, t, parse_formula(text), protagonist=1,
-                            restrict=False)
+    inst = FusInstance.make(arena, t, parse_formula(text), protagonist=1)
     return ImpInfoEncoding(inst, "strict", text, action_of, arena, shifted=True)
-
-
-def _position_groups(arena: Arena, blocks) -> list:
-    """Equivalence classes on positions: the given Player 1 blocks plus
-    Player 2 positions grouped by label (same chosen action)."""
-    groups = [tuple(b) for b in blocks]
-    by_label: dict = {}
-    for v in arena.positions:
-        if arena.owner[v] == 2:
-            by_label.setdefault(arena.labels[v], []).append(v)
-    groups += [tuple(vs) for _, vs in sorted(by_label.items(),
-                                             key=lambda kv: sorted(kv[0]))]
-    return groups
 
 
 def _shifted_observation_relation(arena: Arena, blocks) -> Transducer:
     """Relates a play ending at a Player 1 position to every one-step
-    extension of an observationally equivalent play."""
-    groups = _position_groups(arena, blocks)
-    q0, q1 = "s0", "s1"
+    extension of an observationally equivalent play: state s1 means the
+    last position read is Player 1's, and only there may the extra
+    position be written."""
+    groups = position_groups(arena, blocks)
+    s0, s1, s2 = "s0", "s1", "s2"
     positions = frozenset(arena.positions)
-    transitions = [(q0, u, v, q0) for g in groups for u in g for v in g]
-    transitions += [(q0, EPSILON, w, q1) for w in arena.positions]
-    raw_shift = Transducer([q0, q1], positions, positions, q0, [q1],
-                           transitions, name="obs-shift")
-    # only histories ending at a Player 1 position are related to anything
-    f0, fgood, fbad = "f0", "f1", "f2"
-    ftrans = []
-    for q in (f0, fgood, fbad):
-        for v in arena.positions:
-            tgt = fgood if arena.owner[v] == 1 else fbad
-            ftrans.append((q, v, v, tgt))
-    p1_filter = Transducer([f0, fgood, fbad], positions, positions, f0,
-                           [fgood], ftrans, name="ends-p1")
-    return trim(restrict_to_plays(compose(p1_filter, raw_shift), arena))
+    transitions = [(q, u, v, s1 if arena.owner[u] == 1 else s0)
+                   for q in (s0, s1) for g in groups for u in g for v in g]
+    transitions += [(s1, EPSILON, w, s2) for w in arena.positions]
+    return Transducer([s0, s1, s2], positions, positions, s0, [s2],
+                      transitions, name="obs-shift")
 
 
 @dataclass
@@ -251,13 +229,13 @@ def encode_opacity(raw: ImpGame) -> OpacityEncoding:
     arena, action_of, available = _imp_arena(raw, with_secret_label=True)
     blocks = _obs_partition(raw, arena)
     _check_action_availability(raw, available, blocks)
-    t = trim(build_observation_equivalence(arena, blocks, by_action=True))
+    t = build_observation_equivalence(arena, blocks)
     attacker_text = "F [R] pS"
     defender_text = "G ![R] pS"
     attacker = FusInstance.make(arena, t, parse_formula(attacker_text),
-                                protagonist=1, restrict=False)
+                                protagonist=1)
     defender = FusInstance.make(arena, t, parse_formula(defender_text),
-                                protagonist=2, restrict=False)
+                                protagonist=2)
     return OpacityEncoding(attacker, defender, "strict", "full",
                            attacker_text, defender_text, action_of, arena)
 
@@ -418,12 +396,11 @@ def encode_noninterference(sys: NiSystem) -> NonInterferenceEncoding:
     for a, s in v1_positions:
         if a is not None:
             h[v1_id(a, s)] = "l" + _valstr(a & low)
-    t = trim(build_morphism_equivalence(arena, h))
+    t = build_morphism_equivalence(arena, h)
 
     props = sorted(set(out_prop.values()))
     text = "G(" + " & ".join(f"({p} -> [R] {p})" for p in props) + ")"
-    inst = FusInstance.make(arena, t, parse_formula(text), protagonist=1,
-                            restrict=False)
+    inst = FusInstance.make(arena, t, parse_formula(text), protagonist=1)
 
     full_block = tuple(vals)
     mem = "m"
@@ -586,26 +563,11 @@ def _des_arena(sys: DesSystem) -> tuple:
     return arena, h, reals, frozenset(dummies)
 
 
-def _last_position_filter(arena: Arena, allowed) -> Transducer:
-    """Identity transducer accepting exactly nonempty words ending in `allowed`."""
-    f0, fgood, fbad = "f0", "f1", "f2"
-    allowed = frozenset(allowed)
-    transitions = []
-    for q in (f0, fgood, fbad):
-        for v in arena.positions:
-            transitions.append((q, v, v, fgood if v in allowed else fbad))
-    positions = frozenset(arena.positions)
-    return Transducer([f0, fgood, fbad], positions, positions, f0, [fgood],
-                      transitions, name="ends-in")
-
-
 def _des_encoding(sys: DesSystem, formula_text: str, endpoints: str) -> DesEncoding:
     arena, h, reals, dummies = _des_arena(sys)
-    t = build_morphism_equivalence(arena, h)
     target = reals if endpoints == "real" else dummies
-    t = trim(compose(t, _last_position_filter(arena, target)))
-    inst = FusInstance.make(arena, t, parse_formula(formula_text),
-                            protagonist=1, restrict=False)
+    t = build_morphism_equivalence(arena, h, ends_in=target)
+    inst = FusInstance.make(arena, t, parse_formula(formula_text), protagonist=1)
     return DesEncoding(inst, "full", formula_text, arena, reals, dummies)
 
 
@@ -951,14 +913,12 @@ def encode_dependence_game(sentence: DlNode, model: DlModel) -> DlGameEncoding:
     position_set = frozenset(arena.positions)
     lastmatch = Transducer(states, position_set, position_set, lm_init,
                            lm_accept, lm_trans, name="same-dep")
-    t = trim(restrict_to_plays(
-        union(identity_transducer(position_set), lastmatch), arena))
+    t = union(identity_transducer(position_set), lastmatch)
 
     agree = "G(pd -> (" + " | ".join(f"[R] p{a}" for a in model.domain) + "))"
     win = "F win1"
     combined = f"({agree}) & {win}"
-    inst = FusInstance.make(arena, t, parse_formula(agree), protagonist=1,
-                            restrict=False)
+    inst = FusInstance.make(arena, t, parse_formula(agree), protagonist=1)
     choice_positions = tuple(
         v for v in arena.positions
         if arena.owner[v] == 1 and len(arena.successors(v)) > 1)

@@ -17,12 +17,10 @@ for the next round, or the outcome arena of a strategy, in strict checking.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .arena import Arena
-from .errors import CapExceeded
 from .graph import live, reachable
 from .transducer import EPSILON, Transducer
 
@@ -199,37 +197,25 @@ def build_power_arena(arena: Arena, t: Transducer, cap: int = 10 ** 6) -> PowerA
     The relation of t must already be restricted to pairs of plays.
     Raises CapExceeded when more than `cap` power positions are reached.
     """
-    order = _position_order(arena)
-    pre = _pre_initial(t, order)
-    interned: dict = {}
+    pre = _pre_initial(t, _position_order(arena))
 
-    def intern(p: PowerPosition) -> PowerPosition:
-        return interned.setdefault(p, p)
+    def successors(p):
+        return [power_step(p, v2, t, arena) for v2 in arena.successors(p.v)]
 
-    initial = intern(power_step(pre, arena.initial, t, arena))
-    positions = [initial]
-    discovered = {initial}
-    step_map = {(pre, arena.initial): initial}
+    nodes, succ, _ = reachable([power_step(pre, arena.initial, t, arena)],
+                               successors, cap, "power positions")
+    step_map = {(pre, arena.initial): nodes[0]}
     edges = []
-    queue = deque([initial])
-    while queue:
-        current = queue.popleft()
-        for v2 in arena.successors(current.v):
-            nxt = intern(power_step(current, v2, t, arena))
-            step_map[(current, v2)] = nxt
-            edges.append((current, nxt))
-            if nxt not in discovered:
-                discovered.add(nxt)
-                positions.append(nxt)
-                queue.append(nxt)
-                if len(positions) > cap:
-                    raise CapExceeded("power positions", len(positions), cap)
+    for p, row in zip(nodes, succ):
+        for v2, j in zip(arena.successors(p.v), row):
+            step_map[(p, v2)] = nodes[j]
+            edges.append((p, nodes[j]))
     power = Arena(
-        positions=positions,
-        owner={p: arena.owner[p.v] for p in positions},
+        positions=nodes,
+        owner={p: arena.owner[p.v] for p in nodes},
         edges=edges,
-        initial=initial,
-        labels={p: arena.labels[p.v] for p in positions},
+        initial=nodes[0],
+        labels={p: arena.labels[p.v] for p in nodes},
         name=f"pow({arena.name})",
     )
     return PowerArena(arena, t, power, pre, step_map)

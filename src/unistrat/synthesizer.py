@@ -23,7 +23,7 @@ from .graph import reachable
 from .ltlgame import Caps, DEFAULT_CAPS, solve_ltl_game
 from .marker import eliminate_r, trace_counterexample
 from .powerset import LiftedRelation
-from .transducer import Transducer, check_alphabet, restrict_to_plays, trim
+from .transducer import Transducer, check_alphabet, restrict_to_plays
 
 __all__ = [
     "FusInstance", "IterationStats", "SynthesisResult", "CheckResult",
@@ -35,10 +35,11 @@ __all__ = [
 class FusInstance:
     """One uniform-strategy problem: arena, play relation, formula, player.
 
-    The stored transducer is expected to relate plays only; build instances
-    with `make` to have an arbitrary relation restricted (and trimmed)
-    automatically and a malformed arena rejected with its first
-    `arena.validate` diagnostic.
+    The stored transducer must relate pairs of plays only, as `make` makes
+    it: `make` rejects a malformed arena with its first `arena.validate`
+    diagnostic and a transducer symbol that is not a position, then
+    restricts the relation to plays with `restrict_to_plays`.  Calling the
+    constructor directly trusts the transducer as given.
     """
 
     arena: Arena
@@ -47,21 +48,12 @@ class FusInstance:
     protagonist: int = 1
 
     @classmethod
-    def make(cls, arena, transducer, phi, protagonist=1, restrict=True):
+    def make(cls, arena, transducer, phi, protagonist=1):
         diagnostics = validate(arena)
         if diagnostics:
             raise EncodingError(diagnostics[0])
         check_alphabet(transducer, arena)
-        positions = frozenset(arena.positions)
-        if (transducer.input_alphabet != positions
-                or transducer.output_alphabet != positions):
-            transducer = Transducer(
-                transducer.states, positions, positions, transducer.initial,
-                transducer.accepting, transducer.transitions,
-                name=transducer.name)
-        if restrict:
-            transducer = trim(restrict_to_plays(transducer, arena))
-        return cls(arena, transducer, phi, protagonist)
+        return cls(arena, restrict_to_plays(transducer, arena), phi, protagonist)
 
 
 @dataclass(frozen=True)

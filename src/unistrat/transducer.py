@@ -16,7 +16,8 @@ from .graph import live
 
 __all__ = [
     "EPSILON", "Transducer", "recognizes", "compose", "trim", "union",
-    "check_alphabet", "restrict_to_plays", "build_observation_equivalence",
+    "check_alphabet", "restrict_to_plays", "position_groups",
+    "build_observation_equivalence",
     "build_morphism_equivalence", "identity_transducer", "length_transducer",
     "parse_transducer", "format_transducer",
 ]
@@ -192,16 +193,19 @@ def check_alphabet(t: Transducer, arena: Arena) -> None:
 
 
 def restrict_to_plays(t: Transducer, arena: Arena) -> Transducer:
-    """Intersect the relation with pairs of finite plays of the arena.
+    """Intersect the relation with pairs of finite plays of the arena, and
+    trim the result.
 
     Three-way product: both tapes are additionally run through a prefix
     automaton of the arena (state = last position seen, None before the
     first one); acceptance requires both tapes to hold nonempty plays.
+    Only product states that are reachable and reach acceptance are kept,
+    in breadth-first order, and the initial state always; both alphabets
+    are the arena's positions.
 
     Each state of t has its moves indexed by symbol on first visit, so a
     product state costs the moves the play automaton admits, not all moves
-    of its transducer state.  Transitions keep t's move order, and states
-    are numbered in breadth-first order, as a scan of every move would.
+    of its transducer state.  Transitions keep t's move order.
     """
     index: dict = {}
     allowed = {None: frozenset([arena.initial] if arena.initial in arena else [])}
@@ -229,12 +233,9 @@ def restrict_to_plays(t: Transducer, arena: Arena) -> Transducer:
             nxt = allowed[last] = frozenset(arena.successors(last))
         return nxt
 
-    init = (None, t.initial, None)
-    order = {init: None}
-    transitions = []
-    queue = deque([init])
-    while queue:
-        state = queue.popleft()
+    product_moves: dict = {}
+
+    def successors(state):
         s_in, q, s_out = state
         by_in, by_out, silent = moves_of(q)
         ins, outs = next_positions(s_in), next_positions(s_out)
@@ -244,32 +245,50 @@ def restrict_to_plays(t: Transducer, arena: Arena) -> Transducer:
         matches += [m for v in outs for m in by_out.get(v, ())]
         matches += silent
         matches.sort()
-        for _, a, b, q2 in matches:
-            tgt = (s_in if a is EPSILON else a, q2, s_out if b is EPSILON else b)
-            transitions.append((state, a, b, tgt))
-            if tgt not in order:
-                order[tgt] = None
-                queue.append(tgt)
-    accepting = [s for s in order
-                 if s[1] in t.accepting and s[0] is not None and s[2] is not None]
+        moves = product_moves[state] = [
+            (a, b, (s_in if a is EPSILON else a, q2, s_out if b is EPSILON else b))
+            for _, a, b, q2 in matches]
+        return [tgt for _, _, tgt in moves]
+
+    def accepting(state):
+        return state[1] in t.accepting and state[0] is not None and state[2] is not None
+
+    init = (None, t.initial, None)
+    nodes, keep = live([init], successors, accepting)
+    keep.add(init)
+    states = [s for s in nodes if s in keep]
     positions = frozenset(arena.positions)
     return Transducer(
-        states=list(order),
+        states=states,
         input_alphabet=positions,
         output_alphabet=positions,
         initial=init,
-        accepting=accepting,
-        transitions=transitions,
+        accepting=[s for s in states if accepting(s)],
+        transitions=[(s, a, b, tgt) for s in states
+                     for a, b, tgt in product_moves[s] if tgt in keep],
         name=f"{t.name}|plays",
     )
 
 
-def build_observation_equivalence(arena: Arena, obs_classes, by_action=True) -> Transducer:
-    """Transducer for observational play equivalence, restricted to plays.
+def position_groups(arena: Arena, blocks) -> list:
+    """Equivalence classes on positions: the given Player 1 blocks plus the
+    Player 2 positions grouped by label set (the chosen action)."""
+    groups = [tuple(block) for block in blocks]
+    by_label: dict = {}
+    for v in arena.positions:
+        if arena.owner[v] == 2:
+            by_label.setdefault(arena.labels[v], []).append(v)
+    groups += [tuple(vs) for _, vs in sorted(by_label.items(),
+                                             key=lambda kv: sorted(kv[0]))]
+    return groups
+
+
+def build_observation_equivalence(arena: Arena, obs_classes) -> Transducer:
+    """Transducer for observational play equivalence, on all words.
 
     obs_classes must partition exactly the Player 1 positions; Player 2
     positions are related iff they carry equal label sets (the action
-    proposition) when by_action, and only to themselves otherwise.
+    proposition).  `FusInstance.make` restricts the relation to plays.
     """
     p1 = [v for v in arena.positions if arena.owner[v] == 1]
     blocks = [tuple(block) for block in obs_classes]
@@ -285,50 +304,47 @@ def build_observation_equivalence(arena: Arena, obs_classes, by_action=True) -> 
     if missing:
         raise EncodingError(f"non-partition: {missing[0]!r} is in no class")
 
-    groups = list(blocks)
-    p2 = [v for v in arena.positions if arena.owner[v] == 2]
-    if by_action:
-        by_label: dict = {}
-        for v in p2:
-            by_label.setdefault(arena.labels[v], []).append(v)
-        groups += [tuple(vs) for _, vs in sorted(by_label.items(), key=lambda kv: sorted(kv[0]))]
-    else:
-        groups += [(v,) for v in p2]
-
     q0 = "q0"
-    transitions = [(q0, u, v, q0) for block in groups for u in block for v in block]
+    transitions = [(q0, u, v, q0) for group in position_groups(arena, blocks)
+                   for u in group for v in group]
     positions = frozenset(arena.positions)
-    raw = Transducer([q0], positions, positions, q0, [q0], transitions,
-                     name="obs-equiv")
-    return restrict_to_plays(raw, arena)
+    return Transducer([q0], positions, positions, q0, [q0], transitions,
+                      name="obs-equiv")
 
 
-def build_morphism_equivalence(arena: Arena, h: dict) -> Transducer:
-    """Transducer relating plays with equal images under the morphism h.
+def build_morphism_equivalence(arena: Arena, h: dict, ends_in=None) -> Transducer:
+    """Transducer relating words with equal images under the morphism h.
 
     h maps every position to an observation or to None (unobserved);
-    unobserved positions are consumed and produced silently.  The result is
-    restricted to pairs of plays.
+    unobserved positions are consumed and produced silently.  With ends_in
+    a set of positions, only pairs whose written word ends in ends_in are
+    related: state q1 means the last position written is in ends_in.  The
+    relation is on all words; `FusInstance.make` restricts it to plays.
     """
     missing = [v for v in arena.positions if v not in h]
     if missing:
         raise EncodingError(f"morphism is not total: missing {missing[0]!r}")
-    q0 = "q0"
-    transitions = []
+    moves = []
     for u in arena.positions:
         if h[u] is None:
-            transitions.append((q0, u, EPSILON, q0))
-            transitions.append((q0, EPSILON, u, q0))
+            moves.append((u, EPSILON))
+            moves.append((EPSILON, u))
     for u in arena.positions:
         if h[u] is None:
             continue
         for v in arena.positions:
             if h[v] == h[u]:
-                transitions.append((q0, u, v, q0))
+                moves.append((u, v))
     positions = frozenset(arena.positions)
-    raw = Transducer([q0], positions, positions, q0, [q0], transitions,
-                     name="morphism-equiv")
-    return restrict_to_plays(raw, arena)
+    q0 = "q0"
+    if ends_in is None:
+        return Transducer([q0], positions, positions, q0, [q0],
+                          [(q0, a, b, q0) for a, b in moves], name="morphism-equiv")
+    q1 = "q1"
+    transitions = [(q, a, b, q if b is EPSILON else (q1 if b in ends_in else q0))
+                   for q in (q0, q1) for a, b in moves]
+    return Transducer([q0, q1], positions, positions, q0, [q1], transitions,
+                      name="morphism-equiv")
 
 
 def identity_transducer(alphabet, name="id") -> Transducer:

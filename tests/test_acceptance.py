@@ -31,7 +31,7 @@ from unistrat.synthesizer import (FusInstance, check_uniform,
                                   synthesize_fully_uniform)
 from unistrat.transducer import (build_morphism_equivalence,
                                  identity_transducer, length_transducer,
-                                 recognizes, restrict_to_plays, trim, union)
+                                 recognizes, restrict_to_plays, union)
 
 
 def report(number, elapsed, budget, detail):
@@ -50,13 +50,13 @@ def random_relation(rng, arena):
         raw = length_transducer(positions)
     elif kind == "morph":
         h = {v: rng.choice(["o1", "o2", None]) for v in arena.positions}
-        return trim(build_morphism_equivalence(arena, h))
+        raw = build_morphism_equivalence(arena, h)
     elif kind == "raw":
         raw = random_transducer(rng, positions, 5)
     else:
         raw = union(identity_transducer(positions),
                     random_transducer(rng, positions, 3))
-    return trim(restrict_to_plays(raw, arena))
+    return restrict_to_plays(raw, arena)
 
 
 def sampled_instances(seed, count=50):

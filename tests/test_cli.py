@@ -90,6 +90,21 @@ def test_solve_not_exists(g0_files, capsys):
     assert "verdict=not_exists" in stdout
 
 
+def test_solve_always_restricts_to_plays(tmp_path, capsys):
+    # the raw length relation also relates v0 to a and x, which carry p;
+    # restricted to plays, v0 is related to itself alone
+    arena = tmp_path / "b.arena"
+    fst = tmp_path / "len.fst"
+    arena.write_text(format_arena(make_branching()))
+    fst.write_text(format_transducer(length_transducer(make_branching().positions)))
+    code, stdout, _ = run_cli(["solve", str(arena), str(fst), "[R] !p"], capsys)
+    assert code == 0
+    assert "verdict=exists" in stdout
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(arena), str(fst), "[R] !p", "--no-restrict"])
+    assert exc.value.code == 2
+
+
 def test_solve_strict_mode_refused(g0_files, capsys):
     arena, fst = g0_files
     code, _, stderr = run_cli(
@@ -148,7 +163,7 @@ def test_encode_diag_solve_round_trip(tmp_path, capsys):
     assert code == 0
     code, stdout, _ = run_cli(
         ["solve", prefix + ".arena", prefix + ".fst",
-         "--formula-file", prefix + ".formula", "--no-restrict"], capsys)
+         "--formula-file", prefix + ".formula"], capsys)
     assert code == 1
 
     des.write_text(DES_DIAGNOSABLE)
@@ -157,7 +172,7 @@ def test_encode_diag_solve_round_trip(tmp_path, capsys):
     assert code == 0
     code, stdout, _ = run_cli(
         ["solve", prefix + ".arena", prefix + ".fst",
-         "--formula-file", prefix + ".formula", "--no-restrict"], capsys)
+         "--formula-file", prefix + ".formula"], capsys)
     assert code == 0
 
 
@@ -210,7 +225,7 @@ obs s0
     assert open(prefix + ".defender.formula").read().strip() == "G ![R] pS"
     code, _, _ = run_cli(
         ["solve", prefix + ".defender.arena", prefix + ".defender.fst",
-         "--formula-file", prefix + ".defender.formula", "--no-restrict",
+         "--formula-file", prefix + ".defender.formula",
          "--player", "2"], capsys)
     assert code == 0
 
@@ -234,7 +249,7 @@ output s1 x
     code, _, _ = run_cli(
         ["check", prefix + ".arena", prefix + ".fst",
          "--formula-file", prefix + ".formula", prefix + ".strategy",
-         "--mode", "strict", "--no-restrict"], capsys)
+         "--mode", "strict"], capsys)
     assert code == 1  # the system leaks, the all-allowing strategy fails
 
 
@@ -300,11 +315,10 @@ def test_dump_rejects_stray_transducer_symbol(g0_files, tmp_path, capsys):
     assert message in stderr
     for args in (["powerset", arena, str(fst)],
                  ["marking", arena, str(fst), "[R] p"]):
-        for extra in ([], ["--no-restrict"]):
-            code, stdout, stderr = run_cli(["dump"] + args + extra, capsys)
-            assert code == 2, args + extra
-            assert message in stderr
-            assert stdout == ""
+        code, stdout, stderr = run_cli(["dump"] + args, capsys)
+        assert code == 2, args
+        assert message in stderr
+        assert stdout == ""
 
 
 def test_dump_honours_caps(g0_files, capsys):
@@ -386,7 +400,7 @@ def test_written_strategy_bytes_pinned(tmp_path, capsys):
     assert run_cli(["encode", "diag", str(des), "--out-prefix", prefix], capsys)[0] == 0
     code, _, _ = run_cli(
         ["solve", prefix + ".arena", prefix + ".fst", "--formula-file",
-         prefix + ".formula", "--no-restrict", "--out", str(out)], capsys)
+         prefix + ".formula", "--out", str(out)], capsys)
     assert code == 0
     assert out.read_text() == """\
 strategy player=1 memory=m0,m1,m10,m2,m3,m4,m5,m6,m7,m8,m9 init=m0

@@ -1,10 +1,15 @@
+import importlib.util
 import itertools
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import positional_strategies
-from unistrat.arena import Strategy, validate
-from unistrat.encoders import (encode_dependence_game,
+from conftest import plays_up_to, positional_strategies
+from unistrat.arena import Strategy, format_strategy, validate
+from unistrat.encoders import (_des_arena, _obs_partition,
+                               encode_dependence_game,
                                encode_diagnosability, encode_imperfect_info,
                                encode_noninterference, encode_opacity,
                                encode_prognosability, parse_des, parse_dlgame,
@@ -13,7 +18,12 @@ from unistrat.errors import EncodingError, InputFormatError
 from unistrat.marker import trace_counterexample
 from unistrat.formula import parse as parse_formula
 from unistrat.oracle import dl_eval
-from unistrat.synthesizer import check_uniform, synthesize_fully_uniform
+from unistrat.powerset import build_power_arena
+from unistrat.synthesizer import (FusInstance, check_uniform,
+                                  synthesize_fully_uniform)
+from unistrat.transducer import (EPSILON, Transducer, build_morphism_equivalence,
+                                 compose, position_groups, recognizes,
+                                 restrict_to_plays, trim)
 
 IMP_TOY = """
 impgame
@@ -504,3 +514,100 @@ def test_noninterference_matches_output_comparison():
         assert got == want
         checked += 1
     assert checked >= 5
+
+
+def _bench_workloads():
+    """bench/workloads.py, for its random DES and game generators."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _filter(arena, accept, name):
+    """Identity transducer on nonempty words whose last position passes
+    accept, as a separate automaton to compose with."""
+    f0, good, bad = "f0", "f1", "f2"
+    positions = frozenset(arena.positions)
+    transitions = [(q, v, v, good if accept(v) else bad)
+                   for q in (f0, good, bad) for v in arena.positions]
+    return Transducer([f0, good, bad], positions, positions, f0, [good],
+                      transitions, name=name)
+
+
+def _composed_des_relation(arena, h, target):
+    """Play-restricted morphism equivalence, composed with a filter on the
+    written word's last position."""
+    t = restrict_to_plays(build_morphism_equivalence(arena, h), arena)
+    return trim(compose(t, _filter(arena, target.__contains__, "ends-in")))
+
+
+def _composed_shift_relation(arena, blocks):
+    """Observation equivalence followed by one written position, composed
+    behind a filter on the read word ending at a Player 1 position."""
+    positions = frozenset(arena.positions)
+    transitions = [("s0", u, v, "s0") for g in position_groups(arena, blocks)
+                   for u in g for v in g]
+    transitions += [("s0", EPSILON, w, "s1") for w in arena.positions]
+    shift = Transducer(["s0", "s1"], positions, positions, "s0", ["s1"],
+                       transitions, name="obs-shift")
+    ends_p1 = _filter(arena, lambda v: arena.owner[v] == 1, "ends-p1")
+    return trim(restrict_to_plays(compose(ends_p1, shift), arena))
+
+
+def _power_shape(inst):
+    """The power arena up to the names of transducer states: each power
+    position's underlying position, information set and successors."""
+    power = build_power_arena(inst.arena, inst.transducer).arena
+    return [(p.v, sorted(p.info), [power.index(q) for q in power.successors(p)])
+            for p in power.positions]
+
+
+def _assert_same_instance(inst, reference, plays, strategies=()):
+    """Same related plays, power arena shape, synthesis verdict, written
+    strategy and strict check results; returns the synthesis verdict and
+    the check results."""
+    for r1 in plays:
+        for r2 in plays:
+            assert (recognizes(inst.transducer, r1, r2)
+                    == recognizes(reference.transducer, r1, r2)), (r1, r2)
+    assert _power_shape(inst) == _power_shape(reference)
+    got = synthesize_fully_uniform(inst)
+    want = synthesize_fully_uniform(reference)
+    assert got.verdict == want.verdict
+    if got.exists:
+        assert format_strategy(got.strategy) == format_strategy(want.strategy)
+    checks = [check_uniform(inst, sigma, "strict") for sigma in strategies]
+    assert checks == [check_uniform(reference, sigma, "strict") for sigma in strategies]
+    return [got.verdict] + [c.ok for c in checks]
+
+
+def test_direct_filters_match_composed_reference():
+    """The DES relation's ends_in state and the shifted relation's Player 1
+    state relate the same plays as composing with a filter transducer, and
+    give the same power arenas, verdicts and strategies."""
+    workloads = _bench_workloads()
+    rng = random.Random(4417)
+    seen = set()
+    for _ in range(12):
+        des = workloads.random_des(rng, rng.randint(3, 4))
+        arena, h, reals, dummies = _des_arena(des)
+        for encode, target in ((encode_diagnosability, reals),
+                               (encode_prognosability, dummies)):
+            enc = encode(des)
+            reference = FusInstance(arena, _composed_des_relation(arena, h, target),
+                                    enc.instance.phi)
+            seen.update(_assert_same_instance(enc.instance, reference,
+                                              plays_up_to(arena, 4)))
+    for _ in range(12):
+        raw = workloads.random_impgame(rng, rng.randint(2, 4))
+        enc = encode_imperfect_info(raw, shifted=True)
+        arena = enc.instance.arena
+        reference = FusInstance(
+            arena, _composed_shift_relation(arena, _obs_partition(raw, arena)),
+            enc.instance.phi)
+        seen.update(_assert_same_instance(
+            enc.instance, reference, plays_up_to(arena, 4),
+            list(positional_strategies(arena, 1))))
+    assert seen == {"exists", "not_exists", True, False}

@@ -172,7 +172,9 @@ def test_restrict_relates_only_play_pairs(rng):
 
 def test_restrict_keeps_move_order():
     """States come out breadth-first and each state's moves in t's order,
-    not in the arena's successor order nor grouped by tape."""
+    not in the arena's successor order nor grouped by tape; states that
+    reach no acceptance, here (None, q0, v0) and (None, q0, a), are
+    trimmed with their moves."""
     arena = make_branching()  # successors of v0: a, b
     positions = frozenset(arena.positions)
     t = Transducer(["q0"], positions, positions, "q0", ["q0"], [
@@ -184,23 +186,20 @@ def test_restrict_keeps_move_order():
         ("q0", EPSILON, EPSILON, "q0"),
     ], name="order")
     r = restrict_to_plays(t, arena)
-    s = [(None, "q0", None), (None, "q0", "v0"), ("v0", "q0", "v0"),
-         (None, "q0", "a"), ("b", "q0", "v0"), ("v0", "q0", "a"),
-         ("a", "q0", "b"), ("b", "q0", "a")]
+    s = [(None, "q0", None), ("v0", "q0", "v0"), ("b", "q0", "v0"),
+         ("v0", "q0", "a"), ("a", "q0", "b"), ("b", "q0", "a")]
     assert r.name == "order|plays"
     assert r.states == tuple(s)
-    assert r.accepting == {s[2], s[4], s[5], s[6], s[7]}
+    assert r.accepting == set(s[1:])
+    assert r.input_alphabet == r.output_alphabet == positions
     assert r.transitions == (
-        (s[0], EPSILON, "v0", s[1]), (s[0], "v0", "v0", s[2]),
-        (s[0], EPSILON, EPSILON, s[0]),
-        (s[1], EPSILON, "a", s[3]), (s[1], EPSILON, EPSILON, s[1]),
-        (s[2], "b", EPSILON, s[4]), (s[2], EPSILON, "a", s[5]),
-        (s[2], "a", "b", s[6]), (s[2], EPSILON, EPSILON, s[2]),
-        (s[3], EPSILON, EPSILON, s[3]),
-        (s[4], EPSILON, "a", s[7]), (s[4], EPSILON, EPSILON, s[4]),
-        (s[5], "b", EPSILON, s[7]), (s[5], EPSILON, EPSILON, s[5]),
-        (s[6], EPSILON, EPSILON, s[6]),
-        (s[7], EPSILON, EPSILON, s[7]),
+        (s[0], "v0", "v0", s[1]), (s[0], EPSILON, EPSILON, s[0]),
+        (s[1], "b", EPSILON, s[2]), (s[1], EPSILON, "a", s[3]),
+        (s[1], "a", "b", s[4]), (s[1], EPSILON, EPSILON, s[1]),
+        (s[2], EPSILON, "a", s[5]), (s[2], EPSILON, EPSILON, s[2]),
+        (s[3], "b", EPSILON, s[5]), (s[3], EPSILON, EPSILON, s[3]),
+        (s[4], EPSILON, EPSILON, s[4]),
+        (s[5], EPSILON, EPSILON, s[5]),
     )
 
 
@@ -224,7 +223,7 @@ def obs_closure(arena, related_positions, max_len):
 def test_observation_equivalence_discrete_partition_is_identity():
     arena = make_branching(owner_v0=1)
     blocks = [(v,) for v in arena.positions if arena.owner[v] == 1]
-    t = build_observation_equivalence(arena, blocks, by_action=False)
+    t = build_observation_equivalence(arena, blocks)
     plays = plays_up_to(arena, 4)
     for r1 in plays:
         for r2 in plays:
@@ -236,7 +235,7 @@ def test_observation_equivalence_single_class_action_sequences(rng):
     # (Player 2 position labels) match stepwise
     arena = make_branching(owner_v0=1)
     p1 = [v for v in arena.positions if arena.owner[v] == 1]
-    t = build_observation_equivalence(arena, [tuple(p1)], by_action=True)
+    t = build_observation_equivalence(arena, [tuple(p1)])
     related_positions = {(u, v) for u in arena.positions for v in arena.positions
                          if arena.owner[u] == arena.owner[v] == 1
                          or (arena.owner[u] == arena.owner[v] == 2
@@ -250,7 +249,7 @@ def test_observation_equivalence_single_class_action_sequences(rng):
 def test_observation_equivalence_is_equivalence(rng):
     arena = make_branching(owner_v0=1)
     blocks = [("v0",), ("x", "y")]
-    t = build_observation_equivalence(arena, blocks, by_action=True)
+    t = build_observation_equivalence(arena, blocks)
     plays = plays_up_to(arena, 4)
     related = {(r1, r2) for r1 in plays for r2 in plays if recognizes(t, r1, r2)}
     for r in plays:
