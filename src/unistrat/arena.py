@@ -13,9 +13,11 @@ Finite plays are represented as plain tuples of positions.
 from __future__ import annotations
 
 from .errors import InputFormatError, PartialStrategyError
+from .graph import reachable
 
 __all__ = [
-    "Arena", "Strategy", "validate", "outcome_arena", "enumerate_plays",
+    "Arena", "Strategy", "validate", "covering_step", "outcome_arena",
+    "enumerate_plays",
     "parse_arena", "format_arena", "parse_strategy", "format_strategy",
 ]
 
@@ -142,39 +144,58 @@ class Strategy:
         return self.move(self.memory_after(play), play[-1])
 
 
-def outcome_arena(arena: Arena, sigma: Strategy) -> Arena:
-    """Product arena over (position, memory) pairs whose plays are Out(sigma).
+def covering_step(covering: Arena, down) -> dict:
+    """The play bijection of a covering arena, read off its own edges.
 
-    Positions owned by sigma's player keep only the chosen edge; owners and
-    labels are copied from the underlying position.  Raises
-    PartialStrategyError when the strategy is undefined somewhere reachable.
+    A covering's positions project by `down` onto plain positions, with
+    at most one successor per position and projected successor: the last
+    power arena of a chain covers the first arena (down applies `.v` once
+    per round), and an outcome arena covers the arena it was played on.
+    Maps (covering position, or None before the start; next plain
+    position) to the covering successor, so a plain play lifts one
+    position at a time.
     """
-    init = (arena.initial, sigma.advance(sigma.initial_memory, arena.initial))
-    order: dict = {init: None}
-    edges = []
-    frontier = [init]
-    while frontier:
-        node = frontier.pop()
+    step = {(None, down(covering.initial)): covering.initial}
+    for o in covering.positions:
+        for o2 in covering.successors(o):
+            step[(o, down(o2))] = o2
+    return step
+
+
+def outcome_arena(arena: Arena, sigma: Strategy, down=None, cap=None) -> Arena:
+    """Product arena over (position, memory) pairs whose plays are Out(sigma),
+    numbered breadth-first from the initial pair.
+
+    sigma plays on the projections `down(v)` of the arena's positions
+    (down=None: on the positions themselves), so a strategy on a plain
+    arena can be followed on any arena covering it.  Positions owned by
+    sigma's player keep only the edge to the chosen projection; owners and
+    labels are copied from the arena position.  Raises
+    PartialStrategyError when the strategy is undefined somewhere
+    reachable, and CapExceeded once more than cap positions are reached.
+    """
+    if down is None:
+        def down(v):
+            return v
+
+    def successors(node):
         v, m = node
         if arena.owner[v] == sigma.player:
-            chosen = sigma.move(m, v)
-            if chosen not in arena.successors(v):
+            chosen = sigma.move(m, down(v))
+            targets = [v2 for v2 in arena.successors(v) if down(v2) == chosen]
+            if not targets:
                 raise PartialStrategyError(
-                    f"choice {chosen!r} at {v!r} is not an arena successor")
-            targets = [chosen]
+                    f"choice {chosen!r} at {down(v)!r} is not an arena successor")
         else:
             targets = arena.successors(v)
-        for v2 in targets:
-            node2 = (v2, sigma.advance(m, v2))
-            edges.append((node, node2))
-            if node2 not in order:
-                order[node2] = None
-                frontier.append(node2)
-    nodes = list(order)
+        return [(v2, sigma.advance(m, down(v2))) for v2 in targets]
+
+    init = (arena.initial, sigma.advance(sigma.initial_memory, down(arena.initial)))
+    nodes, succ, _ = reachable([init], successors, cap, "outcome positions")
     return Arena(
         positions=nodes,
         owner={n: arena.owner[n[0]] for n in nodes},
-        edges=edges,
+        edges=[(node, nodes[j]) for node, row in zip(nodes, succ) for j in row],
         initial=init,
         labels={n: arena.labels[n[0]] for n in nodes},
         name=f"{arena.name}*{sigma.name}",

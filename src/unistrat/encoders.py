@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .arena import Arena, Strategy, validate
 from .errors import EncodingError, InputFormatError
 from .formula import parse as parse_formula
+from .graph import reachable
 from .synthesizer import FusInstance
 from .transducer import (EPSILON, Transducer, build_morphism_equivalence,
                          build_observation_equivalence, identity_transducer,
@@ -470,22 +471,15 @@ def _des_reachable(sys: DesSystem) -> set:
     succ: dict = {}
     for s, e, s2 in sys.trans:
         succ.setdefault(s, []).append(s2)
-    seen = {sys.initial}
-    stack = [sys.initial]
-    while stack:
-        s = stack.pop()
-        for s2 in succ.get(s, ()):
-            if s2 not in seen:
-                seen.add(s2)
-                stack.append(s2)
-    return seen
+    nodes, _, _ = reachable([sys.initial], lambda s: succ.get(s, ()))
+    return set(nodes)
 
 
 def validate_des(sys: DesSystem):
     """Faults must be persistent and the reachable part deadlock-free."""
-    reachable = _des_reachable(sys)
+    reached = _des_reachable(sys)
     outgoing = {s: [tr for tr in sys.trans if tr[0] == s] for s in sys.states}
-    for s in sorted(reachable):
+    for s in sorted(reached):
         if not outgoing[s]:
             raise EncodingError(f"deadlock: reachable state {s!r} has no transition")
         if s in sys.faulty:
@@ -511,7 +505,7 @@ def _des_arena(sys: DesSystem) -> tuple:
     validate_des(sys)
     if "-" in sys.events:
         raise EncodingError("event name '-' is reserved")
-    reachable = _des_reachable(sys)
+    reached = _des_reachable(sys)
 
     def real_id(a, s):
         return f"({a},{s})"
@@ -523,10 +517,10 @@ def _des_arena(sys: DesSystem) -> tuple:
     real_positions = [("-", sys.initial)]
     seen = {("-", sys.initial)}
     for s, e, s2 in sys.trans:
-        if s in reachable and (e, s2) not in seen:
+        if s in reached and (e, s2) not in seen:
             seen.add((e, s2))
             real_positions.append((e, s2))
-    moves = [(s, e, s2) for (s, e, s2) in sys.trans if s in reachable]
+    moves = [(s, e, s2) for (s, e, s2) in sys.trans if s in reached]
 
     for a, s in real_positions:
         pid = real_id(a, s)

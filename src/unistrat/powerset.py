@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .arena import Arena
+from .arena import Arena, covering_step
 from .graph import live, reachable
 from .transducer import EPSILON, Transducer
 
@@ -161,34 +161,29 @@ def _position_order(arena: Arena):
 
 
 class PowerArena:
-    """Arena over power positions plus the play bijection witnesses.
+    """One elimination round's power arena and the plain arena it covers.
 
-    `arena` is the constructed game; `step` is the deterministic successor
-    map keyed by (power position, next underlying position); the artificial
-    pre-initial summary seeds the construction.
+    `arena` is the constructed game over power positions, `source` the
+    arena it was built on, and `pre_initial` the artificial summary before
+    the first position, which seeds the construction.  Each power position
+    has one successor per plain successor of its `.v`, so `covering_step`
+    with `down` = `.v` is the play bijection between the two arenas.
     """
 
-    def __init__(self, source: Arena, transducer: Transducer, arena: Arena,
-                 pre_initial: PowerPosition, step_map: dict):
+    def __init__(self, source: Arena, arena: Arena, pre_initial: PowerPosition):
         self.source = source
-        self.transducer = transducer
         self.arena = arena
         self.pre_initial = pre_initial
-        self._step = step_map
-
-    def step(self, power_pos: PowerPosition, v) -> PowerPosition:
-        return self._step[(power_pos, v)]
 
     def lift_play(self, play) -> tuple:
-        current = self.pre_initial
+        """The power play whose positions project onto the given play."""
+        step = covering_step(self.arena, attrgetter("v"))
+        current = None
         out = []
         for v in play:
-            current = self.step(current, v)
+            current = step[(current, v)]
             out.append(current)
         return tuple(out)
-
-    def project_play(self, power_play) -> tuple:
-        return tuple(p.v for p in power_play)
 
 
 def build_power_arena(arena: Arena, t: Transducer, cap: int = 10 ** 6) -> PowerArena:
@@ -204,21 +199,15 @@ def build_power_arena(arena: Arena, t: Transducer, cap: int = 10 ** 6) -> PowerA
 
     nodes, succ, _ = reachable([power_step(pre, arena.initial, t, arena)],
                                successors, cap, "power positions")
-    step_map = {(pre, arena.initial): nodes[0]}
-    edges = []
-    for p, row in zip(nodes, succ):
-        for v2, j in zip(arena.successors(p.v), row):
-            step_map[(p, v2)] = nodes[j]
-            edges.append((p, nodes[j]))
     power = Arena(
         positions=nodes,
         owner={p: arena.owner[p.v] for p in nodes},
-        edges=edges,
+        edges=[(p, nodes[j]) for p, row in zip(nodes, succ) for j in row],
         initial=nodes[0],
         labels={p: arena.labels[p.v] for p in nodes},
         name=f"pow({arena.name})",
     )
-    return PowerArena(arena, t, power, pre, step_map)
+    return PowerArena(arena, power, pre)
 
 
 class _Accepting:
@@ -269,16 +258,11 @@ class LiftedRelation:
         self._size = None
 
     def _numbered_edges(self) -> dict:
-        """(number of a covering position, next plain position) -> number
-        of its successor, read off the covering's edges; -1 numbers the
-        point before the initial position."""
-        covering, down = self.covering, self.down
-        index = covering.index
-        numbered = {(-1, down(covering.initial)): index(covering.initial)}
-        for i, o in enumerate(covering.positions):
-            for o2 in covering.successors(o):
-                numbered[(i, down(o2))] = index(o2)
-        return numbered
+        """`covering_step` on position numbers; -1 numbers the point
+        before the initial position."""
+        index = self.covering.index
+        return {(-1 if o is None else index(o), v): index(o2)
+                for (o, v), o2 in covering_step(self.covering, self.down).items()}
 
     def transitions_from(self, state):
         moves = self._moves.get(state)

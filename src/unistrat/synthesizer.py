@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .arena import Arena, Strategy, outcome_arena, validate
+from .arena import Arena, Strategy, covering_step, outcome_arena, validate
 from .errors import CapExceeded, EncodingError
 from .formula import Formula, r_depth
-from .graph import reachable
 from .ltlgame import Caps, DEFAULT_CAPS, solve_ltl_game
 from .marker import eliminate_r, trace_counterexample
 from .powerset import LiftedRelation
@@ -122,99 +121,47 @@ def synthesize_fully_uniform(inst: FusInstance, caps: Caps = DEFAULT_CAPS) -> Sy
     return SynthesisResult("exists", strategy, trace)
 
 
+def _projection(chain: list):
+    """Projection of the last power arena of a chain onto the first arena:
+    `.v` once per round (the identity for an empty chain)."""
+    def down(p):
+        for _ in chain:
+            p = p.v
+        return p
+    return down
+
+
 def pullback_strategy(product_strategy: Strategy, chain: list) -> Strategy:
     """Pull a strategy on the last arena of a power chain back to the first.
 
-    Resulting memory elements stack the current position of every chain
-    layer on top of the product strategy's own memory; updates thread each
-    new original position up through the deterministic layer successors.
-    An empty chain returns the strategy unchanged.
+    The pulled strategy follows the outcome of the product strategy on
+    the last power arena, which covers the first arena.  Its memory is the
+    outcome position reached (None before the start), updated along the
+    outcome's `covering_step`; at its own positions it moves to the
+    projection of the outcome position's one successor.  An empty chain
+    returns the strategy unchanged.
     """
     if not chain:
         return product_strategy
-    arena = chain[0].source
+    outcome = outcome_arena(chain[-1].arena, product_strategy)
+    project = _projection(chain)
+
+    def down(o):
+        return project(o[0])
+
     player = product_strategy.player
-    m0 = tuple(p.pre_initial for p in chain) + (product_strategy.initial_memory,)
-
-    def advance(mem, v):
-        layers = []
-        x = v
-        for k, power in enumerate(chain):
-            x = power.step(mem[k], x)
-            layers.append(x)
-        inner = product_strategy.advance(mem[-1], x)
-        return tuple(layers) + (inner,)
-
-    def project_down(p):
-        x = p
-        for _ in chain:
-            x = x.v
-        return x
-
-    update, choice = {}, {}
-    init_mem = advance(m0, arena.initial)
-    update[(m0, arena.initial)] = init_mem
-    seen = {(arena.initial, init_mem)}
-    stack = [(arena.initial, init_mem)]
-    while stack:
-        v, mem = stack.pop()
-        if arena.owner[v] == player:
-            lifted_target = product_strategy.move(mem[-1], mem[-2])
-            chosen = project_down(lifted_target)
-            choice[(mem, v)] = chosen
-            targets = [chosen]
-        else:
-            targets = arena.successors(v)
-        for v2 in targets:
-            mem2 = advance(mem, v2)
-            update[(mem, v2)] = mem2
-            if (v2, mem2) not in seen:
-                seen.add((v2, mem2))
-                stack.append((v2, mem2))
-    return Strategy(player, m0, update, choice, name=product_strategy.name + "~pulled")
-
-
-def _monitored_outcome(outcome: Arena, chain: list, final_arena: Arena,
-                       caps: Caps) -> Arena:
-    """Product of an outcome arena with the lifted-position tracking of a
-    power chain, reachable from the initial pair and capped by
-    `caps.product_nodes`; labels come from the (marked) final arena."""
-    if not chain:
-        return outcome
-
-    def chain_step(g, v):
-        layers = []
-        x = g
-        for _ in chain:
-            layers.append(x)
-            x = x.v
-        layers.reverse()   # layer k holds the level-(k+1) position
-        x = v
-        for k, power in enumerate(chain):
-            x = power.step(layers[k], x)
-        return x
-
-    def successors(node):
-        o, g = node
-        return [(o2, chain_step(g, o2[0])) for o2 in outcome.successors(o)]
-
-    nodes, succ, _ = reachable([(outcome.initial, final_arena.initial)], successors,
-                               caps.product_nodes, "monitored outcome nodes")
-    return Arena(
-        positions=nodes,
-        owner={n: outcome.owner[n[0]] for n in nodes},
-        edges=[(node, nodes[j]) for node, row in zip(nodes, succ) for j in row],
-        initial=nodes[0],
-        labels={n: final_arena.labels[n[1]] for n in nodes},
-        name=f"{outcome.name}@{final_arena.name}",
-    )
+    choice = {(o, down(o)): down(outcome.successors(o)[0])
+              for o in outcome.positions if outcome.owner[o] == player}
+    return Strategy(player, None, covering_step(outcome, down), choice,
+                    name=product_strategy.name + "~pulled")
 
 
 def check_uniform(inst: FusInstance, sigma: Strategy, mode: str,
                   caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Does the given finite-memory strategy satisfy the uniformity property?
 
-    full mode: related plays range over all plays of the arena; strict
+    full mode: related plays range over all plays of the arena, and the
+    outcome of sigma is followed on the last power arena; strict
     mode: the relation is lifted onto the outcome arena of sigma, and its
     dead states dropped, before elimination runs there, so related plays
     range over outcomes of sigma at every nesting level.  On failure the
@@ -225,26 +172,22 @@ def check_uniform(inst: FusInstance, sigma: Strategy, mode: str,
     if mode == "full":
         rounds, chain = _eliminate_all(inst.arena, inst.transducer, inst.phi, caps)
         final_arena, _, phi_n = rounds[-1]
-        outcome = outcome_arena(inst.arena, sigma)
-        monitored = _monitored_outcome(outcome, chain, final_arena, caps)
+        down = _projection(chain)
+        monitored = outcome_arena(final_arena, sigma, down, caps.product_nodes)
 
         def original(node):
-            if not chain:
-                return node[0]
-            return node[0][0]
+            return down(node[0])
     else:
-        outcome = outcome_arena(inst.arena, sigma)
+        outcome = outcome_arena(inst.arena, sigma, cap=caps.product_nodes)
         relation = LiftedRelation(inst.transducer, outcome, itemgetter(0))
         if r_depth(inst.phi) > 0:   # only elimination reads the relation
             relation.drop_dead_states(caps.product_nodes, "strict relation states")
         rounds, chain = _eliminate_all(outcome, relation, inst.phi, caps)
         monitored, _, phi_n = rounds[-1]
+        down = _projection(chain)
 
         def original(node):
-            x = node
-            for _ in chain:
-                x = x.v
-            return x[0]
+            return down(node)[0]
 
     witness = trace_counterexample(monitored, monitored.initial, phi_n, caps=caps)
     if witness is None:

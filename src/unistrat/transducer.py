@@ -272,8 +272,23 @@ def restrict_to_plays(t: Transducer, arena: Arena) -> Transducer:
 
 def position_groups(arena: Arena, blocks) -> list:
     """Equivalence classes on positions: the given Player 1 blocks plus the
-    Player 2 positions grouped by label set (the chosen action)."""
+    Player 2 positions grouped by label set (the chosen action).
+
+    The blocks must partition exactly the Player 1 positions; raises
+    EncodingError naming the first position that breaks this.
+    """
     groups = [tuple(block) for block in blocks]
+    seen: set = set()
+    for block in groups:
+        for v in block:
+            if v not in arena or arena.owner[v] != 1:
+                raise EncodingError(f"non-partition: {v!r} is not a Player 1 position")
+            if v in seen:
+                raise EncodingError(f"non-partition: {v!r} occurs in two classes")
+            seen.add(v)
+    missing = [v for v in arena.positions if arena.owner[v] == 1 and v not in seen]
+    if missing:
+        raise EncodingError(f"non-partition: {missing[0]!r} is in no class")
     by_label: dict = {}
     for v in arena.positions:
         if arena.owner[v] == 2:
@@ -286,26 +301,13 @@ def position_groups(arena: Arena, blocks) -> list:
 def build_observation_equivalence(arena: Arena, obs_classes) -> Transducer:
     """Transducer for observational play equivalence, on all words.
 
-    obs_classes must partition exactly the Player 1 positions; Player 2
-    positions are related iff they carry equal label sets (the action
-    proposition).  `FusInstance.make` restricts the relation to plays.
+    obs_classes must partition exactly the Player 1 positions (see
+    `position_groups`); Player 2 positions are related iff they carry
+    equal label sets (the action proposition).  `FusInstance.make`
+    restricts the relation to plays.
     """
-    p1 = [v for v in arena.positions if arena.owner[v] == 1]
-    blocks = [tuple(block) for block in obs_classes]
-    seen: dict = {}
-    for block in blocks:
-        for v in block:
-            if v not in arena or arena.owner[v] != 1:
-                raise EncodingError(f"non-partition: {v!r} is not a Player 1 position")
-            if v in seen:
-                raise EncodingError(f"non-partition: {v!r} occurs in two classes")
-            seen[v] = block
-    missing = [v for v in p1 if v not in seen]
-    if missing:
-        raise EncodingError(f"non-partition: {missing[0]!r} is in no class")
-
     q0 = "q0"
-    transitions = [(q0, u, v, q0) for group in position_groups(arena, blocks)
+    transitions = [(q0, u, v, q0) for group in position_groups(arena, obs_classes)
                    for u in group for v in group]
     positions = frozenset(arena.positions)
     return Transducer([q0], positions, positions, q0, [q0], transitions,

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from conftest import child_env, make_branching, make_g0
-from unistrat.arena import format_arena, format_strategy
+from unistrat.arena import Strategy, format_arena, format_strategy
 from unistrat.cli import main
 from unistrat.formula import parse
 from unistrat.ltlgame import solve_ltl_game
@@ -384,8 +384,9 @@ def test_solve_then_check_written_strategy(g0_files, tmp_path, capsys):
 
 
 def test_written_strategy_bytes_pinned(tmp_path, capsys):
-    # memory elements are automaton states (and, after pullback, tuples
-    # holding them); the written names must not depend on how they are built.
+    # memory elements are automaton states (and, after pullback, outcome
+    # positions holding them); the written names must not depend on how
+    # they are built.
     # G(p -> X !p) has a deterministic Buchi automaton, used as the DPA
     sigma = solve_ltl_game(make_g0(), parse("G(p -> X !p)"), 1)
     assert format_strategy(sigma) == (
@@ -405,22 +406,22 @@ def test_written_strategy_bytes_pinned(tmp_path, capsys):
     assert out.read_text() == """\
 strategy player=1 memory=m0,m1,m10,m2,m3,m4,m5,m6,m7,m8,m9 init=m0
 upd m0 (-,s0) -> m1
-upd m1 >(f,s2) -> m2
-upd m1 >(u,s1) -> m8
-upd m10 (u,s1) -> m9
-upd m2 (f,s2) -> m3
-upd m3 >(o,s2) -> m4
-upd m4 (o,s2) -> m5
-upd m5 >(o,s2) -> m6
-upd m6 (o,s2) -> m7
-upd m7 >(o,s2) -> m6
-upd m8 (u,s1) -> m9
-upd m9 >(u,s1) -> m10
-choose m10 >(u,s1) -> (u,s1)
-choose m2 >(f,s2) -> (f,s2)
-choose m4 >(o,s2) -> (o,s2)
-choose m6 >(o,s2) -> (o,s2)
-choose m8 >(u,s1) -> (u,s1)
+upd m1 >(f,s2) -> m3
+upd m1 >(u,s1) -> m2
+upd m10 >(o,s2) -> m9
+upd m2 (u,s1) -> m4
+upd m3 (f,s2) -> m5
+upd m4 >(u,s1) -> m6
+upd m5 >(o,s2) -> m7
+upd m6 (u,s1) -> m4
+upd m7 (o,s2) -> m8
+upd m8 >(o,s2) -> m9
+upd m9 (o,s2) -> m10
+choose m2 >(u,s1) -> (u,s1)
+choose m3 >(f,s2) -> (f,s2)
+choose m6 >(u,s1) -> (u,s1)
+choose m7 >(o,s2) -> (o,s2)
+choose m9 >(o,s2) -> (o,s2)
 """
 
 
@@ -434,8 +435,14 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
     length = tmp_path / "b.fst"
     branching.write_text(format_arena(make_branching()))
     length.write_text(format_transducer(length_transducer(make_branching().positions)))
+    # a related play outside the outcome violates X [R] p: the full check
+    # fails at R-depth 1, on the outcome of the final arena
+    fixed = tmp_path / "b.strategy"
+    fixed.write_text(format_strategy(Strategy(
+        1, "m", {("m", v): "m" for v in make_branching().positions},
+        {("m", "v0"): "a", ("m", "x"): "a", ("m", "y"): "b"})))
     stdouts, automata, strategies, checks = set(), set(), set(), set()
-    deep_stdouts, deep_strategies = set(), set()
+    deep_stdouts, deep_strategies, full_checks = set(), set(), set()
     for seed in ("0", "5", "1234"):
         env = child_env(PYTHONHASHSEED=seed)
         out = tmp_path / f"s{seed}.strategy"
@@ -463,6 +470,13 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
         deep_stdouts.add(proc.stdout)
         deep_strategies.add(deep.read_text())
         proc = subprocess.run(
+            [sys.executable, "-m", "unistrat.cli", "check", str(branching),
+             str(length), "X [R] p", str(fixed), "--mode", "full"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "counterexample=v0" in proc.stdout
+        full_checks.add(proc.stdout)
+        proc = subprocess.run(
             [sys.executable, "-m", "unistrat.cli", "dump", "automaton",
              "G F p & G F q & F G r"],
             capture_output=True, text=True, env=env)
@@ -474,3 +488,4 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
     assert len(checks) == 1
     assert len(deep_stdouts) == 1
     assert len(deep_strategies) == 1
+    assert len(full_checks) == 1

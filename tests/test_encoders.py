@@ -85,6 +85,13 @@ def test_impinfo_availability_validation():
         encode_imperfect_info(parse_impgame(bad))
 
 
+@pytest.mark.parametrize("shifted", [False, True])
+def test_impinfo_rejects_overlapping_classes(shifted):
+    raw = parse_impgame(IMP_TOY + "obs s2 s3\n")
+    with pytest.raises(EncodingError, match="non-partition: 's2' occurs in two classes"):
+        encode_imperfect_info(raw, shifted=shifted)
+
+
 def test_impinfo_shifted_variant_agrees():
     raw = parse_impgame(IMP_TOY)
     plain = encode_imperfect_info(raw)

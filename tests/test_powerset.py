@@ -1,11 +1,13 @@
 import itertools
+from operator import attrgetter
 
 import pytest
 
 from conftest import (info_set_bruteforce, make_branching, make_g0,
                       play_projection_transducers, plays_up_to, random_arena,
                       random_transducer)
-from unistrat.arena import Arena
+from test_acceptance import sampled_instances
+from unistrat.arena import Arena, covering_step
 from unistrat.errors import CapExceeded
 from unistrat.powerset import build_power_arena, lift_transducer, power_step
 from unistrat.graph import reachable
@@ -48,7 +50,7 @@ def test_power_step_identity_from_start():
     g0 = make_g0()
     t = restricted(identity_transducer(g0.positions), g0)
     power = build_power_arena(g0, t)
-    first = power.step(power.pre_initial, "v0")
+    first, = power.lift_play(("v0",))
     assert first.v == "v0"
     assert first.info == frozenset({"v0"})
     for q, outs in first.last:
@@ -125,7 +127,7 @@ def test_power_step_rejects_non_successor():
     g0 = make_g0()
     t = restricted(identity_transducer(g0.positions), g0)
     power = build_power_arena(g0, t)
-    first = power.step(power.pre_initial, "v0")
+    first, = power.lift_play(("v0",))
     with pytest.raises(ValueError):
         power_step(first, "v0", t, g0)
 
@@ -222,12 +224,36 @@ def test_lift_play_projection_bijection():
     power = build_power_arena(arena, t)
     for play in plays_up_to(arena, 8):
         lifted = power.lift_play(play)
-        assert power.project_play(lifted) == play
+        assert tuple(p.v for p in lifted) == play
         # determinism: per underlying successor there is exactly one move
         for p in power.arena.positions:
             under = {p2.v for p2 in power.arena.successors(p)}
             assert len(under) == len(power.arena.successors(p))
             assert under == set(arena.successors(p.v))
+
+
+def test_covering_step_is_power_step():
+    """Read off a power arena's edges, the play bijection is the power
+    step, in the first round and in the second; the last arena of the
+    chain covers the first through `.v` twice."""
+    for arena, t in sampled_instances(11, 12):
+        power = build_power_arena(arena, t)
+        lifted = lift_transducer(t, power)
+        power2 = build_power_arena(power.arena, lifted)
+        for layer, below, relation in ((power, arena, t), (power2, power.arena, lifted)):
+            step = covering_step(layer.arena, attrgetter("v"))
+            assert step[(None, below.initial)] == layer.arena.initial
+            for p in layer.arena.positions:
+                for v2 in below.successors(p.v):
+                    assert step[(p, v2)] == power_step(p, v2, relation, below)
+            assert len(step) == 1 + sum(len(below.successors(p.v))
+                                        for p in layer.arena.positions)
+        through = covering_step(power2.arena, lambda p: p.v.v)
+        for play in plays_up_to(arena, 4):
+            current = None
+            for v in play:
+                current = through[(current, v)]
+            assert current == power2.lift_play(power.lift_play(play))[-1]
 
 
 def test_lift_identity_relates_lifted_to_itself():

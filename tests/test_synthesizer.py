@@ -195,18 +195,35 @@ def test_check_uniform_partial_strategy():
         check_uniform(inst, sigma, "strict")
 
 
+def counting_to_8(g0):
+    """Player 1's only strategy on G0, with memory counting positions mod 8."""
+    return Strategy(1, 0, {(m, v): (m + 1) % 8 for m in range(8) for v in g0.positions},
+                    {(m, "v0"): "v1" for m in range(8)})
+
+
 def test_check_uniform_caps_monitored_outcome():
     # memory counting to 8 gives an 8-node monitored outcome, while the
     # marker products of G0 need at most 6 nodes
     g0 = make_g0()
     inst = FusInstance.make(g0, identity_transducer(g0.positions),
                             parse("G([R] p | [R] !p)"))
-    sigma = Strategy(1, 0, {(m, v): (m + 1) % 8 for m in range(8) for v in g0.positions},
-                     {(m, "v0"): "v1" for m in range(8)})
+    sigma = counting_to_8(g0)
     assert check_uniform(inst, sigma, "full", caps=Caps(product_nodes=8)).ok
     with pytest.raises(CapExceeded) as exc:
         check_uniform(inst, sigma, "full", caps=Caps(product_nodes=6))
-    assert exc.value.what == "monitored outcome nodes"
+    assert exc.value.what == "outcome positions"
+
+
+def test_check_uniform_caps_strict_outcome():
+    # the strict check caps the outcome it lifts the relation onto; a
+    # plain formula builds nothing larger than the 8-node outcome
+    g0 = make_g0()
+    inst = FusInstance.make(g0, identity_transducer(g0.positions), parse("F p"))
+    sigma = counting_to_8(g0)
+    assert check_uniform(inst, sigma, "strict", caps=Caps(product_nodes=8)).ok
+    with pytest.raises(CapExceeded) as exc:
+        check_uniform(inst, sigma, "strict", caps=Caps(product_nodes=6))
+    assert exc.value.what == "outcome positions"
 
 
 def test_check_uniform_caps_strict_relation():
