@@ -216,6 +216,8 @@ def enumerate_plays(arena: Arena, length: int) -> list[tuple]:
 # Text formats
 
 def _tokens(text):
+    """(line number, words) for each line of a text format that holds
+    more than a `#` comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:

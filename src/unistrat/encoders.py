@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .arena import Arena, Strategy, validate
+from .arena import Arena, Strategy, _tokens, validate
 from .errors import EncodingError, InputFormatError
 from .formula import parse as parse_formula
 from .graph import reachable
@@ -44,13 +44,6 @@ def _check_name(kind, name, lineno=None):
         raise InputFormatError(f"{kind} name {name!r} must be alphanumeric", lineno)
 
 
-def _lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
-
-
 # ---------------------------------------------------------------------------
 # Imperfect information (and opacity)
 
@@ -70,7 +63,7 @@ def parse_impgame(text: str) -> ImpGame:
     trans: dict = {}
     obs_blocks = []
     initial = None
-    for lineno, parts in _lines(text):
+    for lineno, parts in _tokens(text):
         kind = parts[0]
         if kind == "impgame":
             continue
@@ -272,7 +265,7 @@ def parse_nisys(text: str) -> NiSystem:
                 f"valuation mentions undeclared variable {sorted(unknown)[0]!r}", lineno)
         return vals
 
-    for lineno, parts in _lines(text):
+    for lineno, parts in _tokens(text):
         kind = parts[0]
         if kind == "nisys":
             continue
@@ -431,7 +424,7 @@ def parse_des(text: str) -> DesSystem:
     states, events, trans = [], [], []
     observable, faulty = set(), set()
     initial = None
-    for lineno, parts in _lines(text):
+    for lineno, parts in _tokens(text):
         kind = parts[0]
         if kind == "des":
             continue
@@ -736,7 +729,7 @@ def parse_dlgame(text: str) -> tuple:
     sentence_text = None
     domain = None
     relations: dict = {}
-    for lineno, parts in _lines(text):
+    for lineno, parts in _tokens(text):
         kind = parts[0]
         if kind == "dlgame":
             continue

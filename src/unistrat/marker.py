@@ -10,6 +10,7 @@ empty information sets are marked (universal quantification over nothing).
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 
 from .arena import Arena
@@ -182,14 +183,11 @@ def eliminate_r(arena: Arena, t, phi: Formula, caps: Caps = DEFAULT_CAPS):
         phi_hat = substitute(phi_hat, r_sub, name)
     assert r_depth(phi_hat) == r_depth(phi) - 1
 
-    marked_arena = Arena(
-        positions=power.arena.positions,
-        owner=power.arena.owner,
-        edges=power.arena.edges,
-        initial=power.arena.initial,
-        labels={p: frozenset(ls) for p, ls in new_labels.items()},
-        name=f"{arena.name}^",
-    )
+    # the power arena with new labels: positions, edges and successor
+    # lists are shared, not rebuilt
+    marked_arena = copy.copy(power.arena)
+    marked_arena.labels = {p: frozenset(ls) for p, ls in new_labels.items()}
+    marked_arena.name = f"{arena.name}^"
     report = MarkingReport(atom_sources, marked_positions, power)
     return marked_arena, lifted, phi_hat, report
 

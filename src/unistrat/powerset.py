@@ -1,18 +1,19 @@
 """Knowledge construction: powerset arenas over transducer configurations.
 
 A power position pairs an arena position with a summary of every run the
-relation transducer may be in after the play so far: the reachable state
-set S and, per state, the set of positions that can currently sit at the
-end of the output tape.  The local information set of a power position is
-the union of last outputs over accepting states; it equals the set of
-endpoints of related plays.
+relation transducer may be in after the play so far: the set of pairs
+(state, last outputs), one per reachable state, where the last outputs
+are the positions that can currently sit at the end of the output tape.
+The local information set of a power position is the union of last
+outputs over accepting states; it equals the set of endpoints of related
+plays.
 
 The construction is reachable-only and hash-conses power positions, so the
 astronomically large full space is never materialized.  A relation is read
-only through `initial`, `accepting`, `state_index` and `transitions_from`,
-so the same code runs on a `Transducer` and on the `LiftedRelation` view
-that carries it over to the plays of a covering arena: the power arena,
-for the next round, or the outcome arena of a strategy, in strict checking.
+only through `initial`, `accepting` and `transitions_from`, so the same
+code runs on a `Transducer` and on the `LiftedRelation` view that carries
+it over to the plays of a covering arena: the power arena, for the next
+round, or the outcome arena of a strategy, in strict checking.
 """
 
 from __future__ import annotations
@@ -32,35 +33,38 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class PowerPosition:
-    """(underlying position, transducer state set, last-output map).
+    """(underlying position, set of (state, last outputs) pairs, info).
 
-    `last` is canonicalized as a tuple of (state, sorted position tuple)
-    association pairs sorted by state, so equal summaries hash equally.
-    `info` is the derived local information set.  The hash of (v, states,
-    last) is computed once, as positions are looked up far more often
-    than they are made.
+    `last` is a frozenset holding one pair (state, frozenset of positions)
+    per reachable state, so equal summaries are equal sets whatever the
+    order they were found in.  `info` is the derived local information
+    set.  The hash of (v, last) is computed once, as positions are looked
+    up far more often than they are made.
     """
 
     v: object
-    states: frozenset
-    last: tuple
+    last: frozenset
     info: frozenset = field(compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.v, self.states, self.last)))
+        object.__setattr__(self, "_hash", hash((self.v, self.last)))
 
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
         # string hashes differ between processes: hash afresh when loaded
-        return PowerPosition, (self.v, self.states, self.last, self.info)
+        return PowerPosition, (self.v, self.last, self.info)
+
+    @property
+    def states(self) -> frozenset:
+        return frozenset(q for q, _ in self.last)
 
     def last_of(self, q) -> frozenset:
         for state, outs in self.last:
             if state == q:
-                return frozenset(outs)
+                return outs
         raise KeyError(q)
 
     def __str__(self):
@@ -69,77 +73,35 @@ class PowerPosition:
         return f"{self.v}|S={{{states}}}|I={{{info}}}"
 
 
-def _canonical(v, last_map, t: Transducer, position_order) -> PowerPosition:
-    """The power position at v whose state set is the keys of last_map,
-    each state mapped to its set of last outputs."""
-    last = []
-    info: set = set()
-    for q in sorted(last_map, key=t.state_index.__getitem__):
-        outs = last_map[q]
-        last.append((q, tuple(sorted(outs, key=position_order))))
-        if q in t.accepting:
-            info.update(outs)
-    return PowerPosition(v=v, states=frozenset(last_map), last=tuple(last),
-                         info=frozenset(info))
-
-
-def _pre_initial(t: Transducer, position_order) -> PowerPosition:
-    return _canonical(None, {t.initial: ()}, t, position_order)
-
-
-def power_step(current: PowerPosition, next_v, t: Transducer,
+def power_step(current: PowerPosition | None, next_v, t: Transducer,
                arena: Arena) -> PowerPosition:
     """Deterministic successor summary after the play advances to next_v.
 
-    next_v must be an arena successor of the current underlying position
-    (or the initial position when stepping from the artificial start).
-    Runs are explored by one closure per step, shared by all states of
-    the summary.  A run that has written an output is a configuration
-    (state, consumed, last output) that no longer depends on where it
-    started, so each is expanded once.  Only runs that have written
-    nothing yet are searched per source state, over (state, consumed);
-    they bequeath the source's previous last outputs and join the shared
-    closure at their first write.  Visited sets make epsilon-output
-    cycles terminate.
+    next_v must be an arena successor of the current underlying position;
+    current=None starts a play, and next_v must then be the initial
+    position.  Runs are explored by one closure per step over
+    configurations (state, consumed, last): `last` is the run's own last
+    output as a 1-tuple once it has written one, and until then the
+    frozenset of last outputs its source state bequeaths.  Equal
+    configurations have equal futures, so one visited set serves every
+    source state and makes epsilon-output cycles terminate.
     """
-    if current.v is None:
+    if current is None:
         if next_v != arena.initial:
             raise ValueError(f"{next_v!r} is not the initial position")
+        stack = [(t.initial, False, frozenset())]
     elif next_v not in arena.successors(current.v):
         raise ValueError(f"{next_v!r} is not an arena successor of {current.v!r}")
+    else:
+        stack = [(q, False, outs) for q, outs in current.last]
 
     moves = t.transitions_from
     new_last: dict = {}
-    written: set = set()
-    stack = []   # written configurations not yet expanded
-    for q, inherited in current.last:
-        todo = [(q, False)]
-        seen = {(q, False)}
-        while todo:
-            state, consumed = todo.pop()
-            if consumed:
-                new_last.setdefault(state, set()).update(inherited)
-            for a, b, state2 in moves(state):
-                if a is EPSILON:
-                    consumed2 = consumed
-                elif not consumed and a == next_v:
-                    consumed2 = True
-                else:
-                    continue
-                if b is EPSILON:
-                    conf = (state2, consumed2)
-                    if conf not in seen:
-                        seen.add(conf)
-                        todo.append(conf)
-                else:
-                    conf = (state2, consumed2, b)
-                    if conf not in written:
-                        written.add(conf)
-                        stack.append(conf)
+    seen = set(stack)
     while stack:
         state, consumed, last = stack.pop()
         if consumed:
-            new_last.setdefault(state, set()).add(last)
+            new_last.setdefault(state, set()).update(last)
         for a, b, state2 in moves(state):
             if a is EPSILON:
                 consumed2 = consumed
@@ -147,57 +109,40 @@ def power_step(current: PowerPosition, next_v, t: Transducer,
                 consumed2 = True
             else:
                 continue
-            conf = (state2, consumed2, last if b is EPSILON else b)
-            if conf not in written:
-                written.add(conf)
+            conf = (state2, consumed2, last if b is EPSILON else (b,))
+            if conf not in seen:
+                seen.add(conf)
                 stack.append(conf)
-    return _canonical(next_v, new_last, t, _position_order(arena))
+    info = frozenset().union(*(outs for q, outs in new_last.items() if q in t.accepting))
+    return PowerPosition(next_v, frozenset((q, frozenset(outs))
+                                           for q, outs in new_last.items()), info)
 
 
-def _position_order(arena: Arena):
-    def key(v):
-        return arena.index(v) if v in arena else str(v)
-    return key
-
-
+@dataclass(frozen=True)
 class PowerArena:
     """One elimination round's power arena and the plain arena it covers.
 
-    `arena` is the constructed game over power positions, `source` the
-    arena it was built on, and `pre_initial` the artificial summary before
-    the first position, which seeds the construction.  Each power position
-    has one successor per plain successor of its `.v`, so `covering_step`
-    with `down` = `.v` is the play bijection between the two arenas.
+    `arena` is the constructed game over power positions and `source` the
+    arena it was built on.  Each power position has one successor per
+    plain successor of its `.v`, so `covering_step` with `down` = `.v` is
+    the play bijection between the two arenas.
     """
 
-    def __init__(self, source: Arena, arena: Arena, pre_initial: PowerPosition):
-        self.source = source
-        self.arena = arena
-        self.pre_initial = pre_initial
-
-    def lift_play(self, play) -> tuple:
-        """The power play whose positions project onto the given play."""
-        step = covering_step(self.arena, attrgetter("v"))
-        current = None
-        out = []
-        for v in play:
-            current = step[(current, v)]
-            out.append(current)
-        return tuple(out)
+    source: Arena
+    arena: Arena
 
 
 def build_power_arena(arena: Arena, t: Transducer, cap: int = 10 ** 6) -> PowerArena:
-    """Reachable fragment of the powerset arena for (arena, t).
+    """Reachable fragment of the powerset arena for (arena, t), seeded with
+    the summary after the initial position.
 
     The relation of t must already be restricted to pairs of plays.
     Raises CapExceeded when more than `cap` power positions are reached.
     """
-    pre = _pre_initial(t, _position_order(arena))
-
     def successors(p):
         return [power_step(p, v2, t, arena) for v2 in arena.successors(p.v)]
 
-    nodes, succ, _ = reachable([power_step(pre, arena.initial, t, arena)],
+    nodes, succ, _ = reachable([power_step(None, arena.initial, t, arena)],
                                successors, cap, "power positions")
     power = Arena(
         positions=nodes,
@@ -207,7 +152,7 @@ def build_power_arena(arena: Arena, t: Transducer, cap: int = 10 ** 6) -> PowerA
         labels={p: arena.labels[p.v] for p in nodes},
         name=f"pow({arena.name})",
     )
-    return PowerArena(arena, power, pre)
+    return PowerArena(arena, power)
 
 
 class _Accepting:
@@ -235,8 +180,9 @@ class LiftedRelation:
     t relates their projections (down . t . up).  A state (d, q, u) pairs
     a state q of t with the numbers, in `covering.positions`, of the last
     covering position read (d) and written (u); -1 stands for before the
-    first.  Each state's moves are computed, and their targets numbered in
-    `state_index`, when `transitions_from` first asks for them; `len`
+    first.  The view offers what the power construction reads of a
+    relation: `initial`, `accepting` and `transitions_from`.  Each state's
+    moves are computed when `transitions_from` first asks for them; `len`
     explores every reachable state once and remembers the count.
 
     Over a covering with a successor for every plain successor, as the
@@ -252,7 +198,6 @@ class LiftedRelation:
         self.down = down
         self.initial = (-1, t.initial, -1)
         self.accepting = _Accepting(t.accepting)
-        self.state_index = {self.initial: 0}
         self._moves: dict = {}
         self._next = None
         self._size = None
@@ -270,7 +215,7 @@ class LiftedRelation:
             return moves
         if self._next is None:
             self._next = self._numbered_edges()
-        step, index = self._next, self.state_index
+        step = self._next
         positions = self.covering.positions
         d, q, u = state
         out = []
@@ -284,10 +229,8 @@ class LiftedRelation:
                 u2 = step.get((u, b))
                 if u2 is None:
                     continue
-            target = (d2, q2, u2)
-            index.setdefault(target, len(index))
             out.append((EPSILON if a is EPSILON else positions[d2],
-                        EPSILON if b is EPSILON else positions[u2], target))
+                        EPSILON if b is EPSILON else positions[u2], (d2, q2, u2)))
         moves = self._moves[state] = tuple(out)
         return moves
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .arena import Arena
+from .arena import Arena, _tokens
 from .errors import EncodingError, InputFormatError
 from .graph import live
 
@@ -30,20 +30,19 @@ class Transducer:
                  accepting, transitions, name="fst"):
         self.name = name
         self.states = tuple(dict.fromkeys(states))
-        self.state_index = {q: i for i, q in enumerate(self.states)}
         self.input_alphabet = frozenset(input_alphabet)
         self.output_alphabet = frozenset(output_alphabet)
         self.initial = initial
         self.accepting = frozenset(accepting)
         self.transitions = tuple(dict.fromkeys(transitions))
-        if self.initial not in self.state_index:
+        by_state: dict = {q: [] for q in self.states}
+        if self.initial not in by_state:
             raise InputFormatError(f"initial state {self.initial!r} not declared")
         for q in self.accepting:
-            if q not in self.state_index:
+            if q not in by_state:
                 raise InputFormatError(f"accepting state {q!r} not declared")
-        by_state: dict = {q: [] for q in self.states}
         for q, a, b, q2 in self.transitions:
-            if q not in by_state or q2 not in self.state_index:
+            if q not in by_state or q2 not in by_state:
                 raise InputFormatError(f"transition references undeclared state: {(q, a, b, q2)!r}")
             if a is not EPSILON and a not in self.input_alphabet:
                 raise InputFormatError(f"transition reads undeclared symbol {a!r}")
@@ -378,11 +377,7 @@ def parse_transducer(text: str) -> Transducer:
     name = "fst"
     states, accepting, transitions = [], [], []
     initial = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _tokens(text):
         kind = parts[0]
         if kind == "fst":
             name = parts[1] if len(parts) > 1 else name

@@ -4,12 +4,13 @@ import itertools
 import os
 import random
 from collections import deque
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
 import unistrat
-from unistrat.arena import Arena, Strategy
+from unistrat.arena import Arena, Strategy, covering_step
 from unistrat.transducer import EPSILON, Transducer
 
 
@@ -94,6 +95,18 @@ def play_projection_transducers(arena: Arena, project, plain_alphabet=None) -> t
     t_up = Transducer(states, plain, structured, start, list(arena.positions),
                       up, name="up")
     return t_down, t_up
+
+
+def lift_play(power, play) -> tuple:
+    """The play of the power arena `power.arena` whose positions project
+    onto the given play of `power.source`."""
+    step = covering_step(power.arena, attrgetter("v"))
+    current = None
+    out = []
+    for v in play:
+        current = step[(current, v)]
+        out.append(current)
+    return tuple(out)
 
 
 def info_set_bruteforce(arena: Arena, t: Transducer, rho) -> frozenset:

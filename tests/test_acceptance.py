@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (child_env, info_set_bruteforce, lassos_of,
+from conftest import (child_env, info_set_bruteforce, lassos_of, lift_play,
                       make_branching, make_g0, positional_strategies,
                       plays_up_to, random_arena, random_transducer)
 from unistrat.arena import Arena, Strategy, outcome_arena
@@ -92,7 +92,7 @@ def test_acceptance_1_information_sets():
     for arena, t in instances:
         power = build_power_arena(arena, t, cap=200000)
         for play in plays_up_to(arena, 6):
-            assert power.lift_play(play)[-1].info == \
+            assert lift_play(power, play)[-1].info == \
                 info_set_bruteforce(arena, t, play)
             checked += 1
     report(1, time.time() - start, 60,
@@ -107,7 +107,7 @@ def test_acceptance_2_transducer_lift():
         power = build_power_arena(arena, t, cap=200000)
         lifted = lift_transducer(t, power)
         plays = plays_up_to(arena, 4)
-        lifts = {p: power.lift_play(p) for p in plays}
+        lifts = {p: lift_play(power, p) for p in plays}
         for r1, r2 in itertools.product(plays, repeat=2):
             assert recognizes(t, r1, r2) == \
                 recognizes(lifted, lifts[r1], lifts[r2])
@@ -314,7 +314,7 @@ def test_acceptance_4_elimination_transfer():
             if want is None:
                 skipped += 1
                 continue
-            hat = power.lift_play(tuple(stem) + tuple(cycle))
+            hat = lift_play(power, tuple(stem) + tuple(cycle))
             got = lasso_eval([marked.labels[p] for p in hat[:len(stem)]],
                              [marked.labels[p] for p in hat[len(stem):]],
                              phi_hat)

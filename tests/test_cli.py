@@ -441,10 +441,32 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
     fixed.write_text(format_strategy(Strategy(
         1, "m", {("m", v): "m" for v in make_branching().positions},
         {("m", "v0"): "a", ("m", "x"): "a", ("m", "y"): "b"})))
+    # power positions are sets of runs: summaries of the diagnosability
+    # encoding hold several states with several last outputs each
+    des = tmp_path / "m.des"
+    des.write_text(DES_CONFUSABLE)
+    diag = str(tmp_path / "diag")
+    proc = subprocess.run(
+        [sys.executable, "-m", "unistrat.cli", "encode", "diag", str(des),
+         "--out-prefix", diag],
+        capture_output=True, text=True, env=child_env(PYTHONHASHSEED="0"))
+    assert proc.returncode == 0
+    dumps = {
+        "diag powerset": ["powerset", diag + ".arena", diag + ".fst"],
+        "diag marking": ["marking", diag + ".arena", diag + ".fst", "[R] pf"],
+        "length powerset": ["powerset", str(branching), str(length)],
+    }
+    dump_stdouts = {name: set() for name in dumps}
     stdouts, automata, strategies, checks = set(), set(), set(), set()
     deep_stdouts, deep_strategies, full_checks = set(), set(), set()
     for seed in ("0", "5", "1234"):
         env = child_env(PYTHONHASHSEED=seed)
+        for name, argv in dumps.items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "unistrat.cli", "dump", *argv],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            dump_stdouts[name].add(proc.stdout)
         out = tmp_path / f"s{seed}.strategy"
         proc = subprocess.run(
             [sys.executable, "-m", "unistrat.cli", "solve", str(arena),
@@ -489,3 +511,4 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
     assert len(deep_stdouts) == 1
     assert len(deep_strategies) == 1
     assert len(full_checks) == 1
+    assert all(len(outs) == 1 for outs in dump_stdouts.values())

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import lassos_of, make_branching, make_g0, random_arena
+from conftest import lassos_of, lift_play, make_branching, make_g0, random_arena
 from unistrat.arena import Arena
 from unistrat.errors import CapExceeded
 from unistrat.formula import Atom, R, format_formula, parse, r_depth
@@ -179,7 +179,7 @@ def test_elimination_transfer_on_lassos():
             want = bounded_semantics(arena, t, "all", (stem, cycle), 0, phi)
             if want is None:
                 continue
-            hat = power.lift_play(tuple(stem) + tuple(cycle))
+            hat = lift_play(power, tuple(stem) + tuple(cycle))
             stem_l = [marked.labels[p] for p in hat[:len(stem)]]
             cycle_l = [marked.labels[p] for p in hat[len(stem):]]
             got = lasso_eval(stem_l, cycle_l, phi_hat)

@@ -3,7 +3,7 @@ from operator import attrgetter
 
 import pytest
 
-from conftest import (info_set_bruteforce, make_branching, make_g0,
+from conftest import (info_set_bruteforce, lift_play, make_branching, make_g0,
                       play_projection_transducers, plays_up_to, random_arena,
                       random_transducer)
 from test_acceptance import sampled_instances
@@ -50,7 +50,7 @@ def test_power_step_identity_from_start():
     g0 = make_g0()
     t = restricted(identity_transducer(g0.positions), g0)
     power = build_power_arena(g0, t)
-    first, = power.lift_play(("v0",))
+    first, = lift_play(power, ("v0",))
     assert first.v == "v0"
     assert first.info == frozenset({"v0"})
     for q, outs in first.last:
@@ -61,11 +61,11 @@ def test_power_step_length_tracks_both_branches():
     arena = make_branching()
     t = restricted(length_transducer(arena.positions), arena)
     power = build_power_arena(arena, t)
-    second = power.lift_play(("v0", "a"))[-1]
+    second = lift_play(power, ("v0", "a"))[-1]
     assert second.info == frozenset({"a", "b"})
     # equal-depth positions share the output-tape summary (the play-prefix
     # component of the restricted transducer state differs by construction)
-    other = power.lift_play(("v0", "b"))[-1]
+    other = lift_play(power, ("v0", "b"))[-1]
 
     def output_summary(p):
         return {(q[1], q[2], o) for q, outs in p.last for o in outs}
@@ -83,8 +83,7 @@ def test_power_step_epsilon_output_loop_terminates_and_inherits():
                    "q0", ["q0", "q1"],
                    [("q0", "x", "x", "q0"), ("q0", "y", EPSILON, "q0"),
                     ("q0", EPSILON, "x", "q1"), ("q1", EPSILON, "x", "q1")])
-    first = power_step(
-        build_power_arena(arena, t).pre_initial, "x", t, arena)
+    first = power_step(None, "x", t, arena)
     second = power_step(first, "y", t, arena)
     # reading y writes nothing: q0 inherits last output x
     assert ("q0" in second.states)
@@ -111,8 +110,7 @@ def test_power_step_keeps_inherited_outputs_apart():
                     ("a", "y", EPSILON, "a2"), ("b", "y", EPSILON, "b2"),
                     ("a2", EPSILON, EPSILON, "d"), ("b2", EPSILON, EPSILON, "d"),
                     ("a2", EPSILON, "z", "c"), ("b2", EPSILON, "z", "c")])
-    pre = build_power_arena(arena, t).pre_initial
-    second = power_step(power_step(pre, "x", t, arena), "y", t, arena)
+    second = power_step(power_step(None, "x", t, arena), "y", t, arena)
     runs = runs_to(t, ("x", "y"))
     assert second.states == {q for q, _ in runs} == {"a2", "b2", "c", "d"}
     for q in second.states:
@@ -123,11 +121,20 @@ def test_power_step_keeps_inherited_outputs_apart():
     assert second.last_of("c") == {"z"}
 
 
+def test_power_step_from_none_starts_a_play():
+    arena = make_branching()
+    t = restricted(length_transducer(arena.positions), arena)
+    assert power_step(None, arena.initial, t, arena) == \
+        build_power_arena(arena, t).arena.initial
+    with pytest.raises(ValueError):
+        power_step(None, "a", t, arena)
+
+
 def test_power_step_rejects_non_successor():
     g0 = make_g0()
     t = restricted(identity_transducer(g0.positions), g0)
     power = build_power_arena(g0, t)
-    first, = power.lift_play(("v0",))
+    first, = lift_play(power, ("v0",))
     with pytest.raises(ValueError):
         power_step(first, "v0", t, g0)
 
@@ -186,7 +193,7 @@ def test_information_sets_match_bruteforce_random(rng):
                                          max_states=4), arena)
         power = build_power_arena(arena, t)
         for play in plays_up_to(arena, 5):
-            assert power.lift_play(play)[-1].info == \
+            assert lift_play(power, play)[-1].info == \
                 info_set_bruteforce(arena, t, play)
 
 
@@ -210,7 +217,7 @@ def test_state_and_last_sets_match_run_enumeration(rng):
         t = restricted(t, arena)
         power = build_power_arena(arena, t)
         for play in plays_up_to(arena, 4):
-            summary = power.lift_play(play)[-1]
+            summary = lift_play(power, play)[-1]
             runs = runs_to(t, play)
             assert summary.states == {q for q, _ in runs}
             got_pairs = {(q, o) for q, outs in summary.last for o in outs}
@@ -223,7 +230,7 @@ def test_lift_play_projection_bijection():
     t = restricted(length_transducer(arena.positions), arena)
     power = build_power_arena(arena, t)
     for play in plays_up_to(arena, 8):
-        lifted = power.lift_play(play)
+        lifted = lift_play(power, play)
         assert tuple(p.v for p in lifted) == play
         # determinism: per underlying successor there is exactly one move
         for p in power.arena.positions:
@@ -253,7 +260,7 @@ def test_covering_step_is_power_step():
             current = None
             for v in play:
                 current = through[(current, v)]
-            assert current == power2.lift_play(power.lift_play(play))[-1]
+            assert current == lift_play(power2, lift_play(power, play))[-1]
 
 
 def test_lift_identity_relates_lifted_to_itself():
@@ -262,11 +269,11 @@ def test_lift_identity_relates_lifted_to_itself():
     power = build_power_arena(g0, t)
     lifted = lift_transducer(t, power)
     for play in plays_up_to(g0, 4):
-        hat = power.lift_play(play)
+        hat = lift_play(power, play)
         assert recognizes(lifted, hat, hat)
         other = [p for p in plays_up_to(g0, 4) if p != play]
         for o in other[:3]:
-            assert not recognizes(lifted, hat, power.lift_play(o))
+            assert not recognizes(lifted, hat, lift_play(power, o))
 
 
 def test_lift_size_bound_and_relation(rng):
@@ -281,7 +288,7 @@ def test_lift_size_bound_and_relation(rng):
         plays = plays_up_to(arena, 3)
         for r1, r2 in itertools.product(plays, repeat=2):
             want = recognizes(t, r1, r2)
-            got = recognizes(lifted, power.lift_play(r1), power.lift_play(r2))
+            got = recognizes(lifted, lift_play(power, r1), lift_play(power, r2))
             assert got == want
 
 
@@ -329,8 +336,8 @@ def test_lift_view_matches_composed_reference(rng):
         assert len(lifted2) == len(reference2)
         plays = plays_up_to(arena, 3)
         for r1, r2 in itertools.product(plays, repeat=2):
-            h1, h2 = power.lift_play(r1), power.lift_play(r2)
+            h1, h2 = lift_play(power, r1), lift_play(power, r2)
             want = recognizes(t, r1, r2)
             assert recognizes(lifted, h1, h2) == recognizes(reference, h1, h2) == want
-            h1, h2 = power2.lift_play(h1), power2.lift_play(h2)
+            h1, h2 = lift_play(power2, h1), lift_play(power2, h2)
             assert recognizes(lifted2, h1, h2) == recognizes(reference2, h1, h2) == want
