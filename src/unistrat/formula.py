@@ -18,7 +18,8 @@ from .errors import FormulaParseError, NameCollisionError
 __all__ = [
     "Formula", "Const", "Atom", "Not", "And", "Next", "Until", "R",
     "parse", "format_formula", "atoms", "subformulas", "r_depth",
-    "depth1_r_subformulas", "substitute",
+    "depth1_r_subformulas", "substitute", "is_state_formula", "holds",
+    "muller_condition",
 ]
 
 
@@ -338,3 +339,64 @@ def fresh_atom_name(index: int, body: Formula, used: set[str]) -> str:
         salt += 1
         name = f"@R{index}#{digest}#{salt}"
     return name
+
+
+# ---------------------------------------------------------------------------
+# Shapes that need no Buchi automaton
+
+def is_state_formula(f: Formula) -> bool:
+    """Is f a Boolean combination of atoms and constants?"""
+    if isinstance(f, Not):
+        return is_state_formula(f.sub)
+    if isinstance(f, And):
+        return is_state_formula(f.left) and is_state_formula(f.right)
+    return isinstance(f, (Atom, Const))
+
+
+def holds(s: Formula, letter) -> bool:
+    """Value of the state formula s on a letter (a set of atom names)."""
+    if isinstance(s, Const):
+        return s.value
+    if isinstance(s, Atom):
+        return s.name in letter
+    if isinstance(s, Not):
+        return not holds(s.sub, letter)
+    return holds(s.left, letter) and holds(s.right, letter)
+
+
+_TRUE = Const(True)
+
+
+def muller_condition(psi: Formula):
+    """psi as a Boolean combination of G F s and F G s over state formulas
+    s, or None.  After sugar expansion F G s reads true U !(true U x) with
+    x = !s, which is !G F x, and G F x is its negation.
+
+    Returns (recs, accepts): recs lists the state formulas x of the G F x
+    in first-occurrence order, and accepts(hit) tells whether psi holds on
+    a word whose letters satisfy recs[i] infinitely often exactly for the
+    bits i of hit.
+    """
+    recs: list = []
+
+    def walk(f):
+        if isinstance(f, Const):
+            return lambda hit: f.value
+        if isinstance(f, Not):
+            sub = walk(f.sub)
+            return sub and (lambda hit: not sub(hit))
+        if isinstance(f, And):
+            left, right = walk(f.left), walk(f.right)
+            return left and right and (lambda hit: left(hit) and right(hit))
+        if (isinstance(f, Until) and f.left == _TRUE and isinstance(f.right, Not)
+                and isinstance(f.right.sub, Until) and f.right.sub.left == _TRUE
+                and is_state_formula(f.right.sub.right)):
+            x = f.right.sub.right
+            if x not in recs:
+                recs.append(x)
+            bit = 1 << recs.index(x)
+            return lambda hit: not hit & bit
+        return None
+
+    accepts = walk(psi)
+    return None if accepts is None else (recs, accepts)

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 from .arena import Arena, Strategy
 from .errors import CapExceeded, EncodingError
-from .formula import And, Atom, Const, Formula, Next, Not, Until, atoms, r_depth
+from .formula import (And, Atom, Const, Formula, Next, Not, atoms, holds,
+                      muller_condition, r_depth)
 from .graph import components, live, reachable
 
 __all__ = [
@@ -532,64 +533,6 @@ def _numbered(ap, letters, states, succ) -> ParityAutomaton:
 # ---------------------------------------------------------------------------
 # Parity automata without determinization
 
-_TRUE = Const(True)
-
-
-def _is_state_formula(f: Formula) -> bool:
-    """Is f a Boolean combination of atoms and constants?"""
-    if isinstance(f, Not):
-        return _is_state_formula(f.sub)
-    if isinstance(f, And):
-        return _is_state_formula(f.left) and _is_state_formula(f.right)
-    return isinstance(f, (Atom, Const))
-
-
-def _holds(s: Formula, letter) -> bool:
-    """Value of the state formula s on a letter."""
-    if isinstance(s, Const):
-        return s.value
-    if isinstance(s, Atom):
-        return s.name in letter
-    if isinstance(s, Not):
-        return not _holds(s.sub, letter)
-    return _holds(s.left, letter) and _holds(s.right, letter)
-
-
-def _muller_condition(psi: Formula):
-    """psi as a Boolean combination of G F s and F G s over state formulas
-    s, or None.  After sugar expansion F G s reads true U !(true U x) with
-    x = !s, which is !G F x, and G F x is its negation.
-
-    Returns (recs, accepts): recs lists the state formulas x of the G F x
-    in first-occurrence order, and accepts(hit) tells whether psi holds on
-    a word whose letters satisfy recs[i] infinitely often exactly for the
-    bits i of hit.
-    """
-    recs: list = []
-
-    def walk(f):
-        if isinstance(f, Const):
-            return lambda hit: f.value
-        if isinstance(f, Not):
-            sub = walk(f.sub)
-            return sub and (lambda hit: not sub(hit))
-        if isinstance(f, And):
-            left, right = walk(f.left), walk(f.right)
-            return left and right and (lambda hit: left(hit) and right(hit))
-        if (isinstance(f, Until) and f.left == _TRUE and isinstance(f.right, Not)
-                and isinstance(f.right.sub, Until) and f.right.sub.left == _TRUE
-                and _is_state_formula(f.right.sub.right)):
-            x = f.right.sub.right
-            if x not in recs:
-                recs.append(x)
-            bit = 1 << recs.index(x)
-            return lambda hit: not hit & bit
-        return None
-
-    accepts = walk(psi)
-    return None if accepts is None else (recs, accepts)
-
-
 def _zielonka_dpa(recs, accepts, ap, letters, caps: Caps) -> ParityAutomaton:
     """Parity automaton of the Zielonka tree (Zielonka, TCS 1998) of a
     Muller condition, minimal for it (Casares, Colcombet & Fijalkow,
@@ -606,7 +549,7 @@ def _zielonka_dpa(recs, accepts, ap, letters, caps: Caps) -> ParityAutomaton:
     of n after the one it came from, cyclically.  The priority is the depth
     of n, plus one when the root rejects, so accepting nodes are even.
     """
-    colour = {letter: sum(1 << i for i, s in enumerate(recs) if _holds(s, letter))
+    colour = {letter: sum(1 << i for i, s in enumerate(recs) if holds(s, letter))
               for letter in letters}
 
     def union(colours):
@@ -738,7 +681,7 @@ def ltl_to_dpa(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> ParityA
     """
     if r_depth(psi) != 0:
         raise ValueError("ltl_to_dpa needs a plain LTL formula")
-    muller = _muller_condition(psi)
+    muller = muller_condition(psi)
     if muller is not None:
         ap = tuple(sorted(atoms(psi)))
         return _zielonka_dpa(*muller, ap, _alphabet(ap, letters), caps)

@@ -6,6 +6,13 @@ exactly the local information set of the power position reached.  Marking
 therefore replaces [R] psi by a fresh proposition that labels precisely the
 power positions whose whole information set universally satisfies psi;
 empty information sets are marked (universal quantification over nothing).
+
+Whether psi holds on every infinite trace from a position is decided on
+the arena itself when psi allows it: a state formula by the position's
+label, X s by its successors' labels, and a Boolean combination of G F s
+and F G s by Emerson-Lei emptiness, a recursive SCC decomposition of the
+positions it reaches.  Any other body takes the product of the arena with
+a Buchi automaton for not psi, as do the counterexample traces.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ from collections import deque
 
 from .arena import Arena
 from .errors import NameCollisionError
-from .formula import (Formula, Not, atoms, depth1_r_subformulas,
-                      format_formula, fresh_atom_name, r_depth, substitute)
+from .formula import (Formula, Next, Not, atoms, depth1_r_subformulas,
+                      format_formula, fresh_atom_name, holds, is_state_formula,
+                      muller_condition, r_depth, substitute)
 from .graph import components, reachable
 from .ltlgame import Caps, DEFAULT_CAPS, ltl_to_nba
 
@@ -27,16 +35,18 @@ __all__ = [
 
 
 class MarkingReport:
-    """What was marked: fresh atom -> source [R] subformula and positions.
+    """What was marked: fresh atom -> source [R] subformula, positions and
+    how its body was decided ("state", "next", "muller" or "automaton").
 
     Also carries the power arena the marking lives on, which downstream
     strategy pullback and debugging dumps need.
     """
 
-    def __init__(self, atom_sources: dict, marked_positions: dict, power):
+    def __init__(self, atom_sources: dict, marked_positions: dict, power, methods: dict):
         self.atom_sources = dict(atom_sources)
         self.marked_positions = {k: frozenset(v) for k, v in marked_positions.items()}
         self.power = power
+        self.methods = dict(methods)
 
 
 def _violation_graph(arena: Arena, psi: Formula, sources, caps: Caps):
@@ -114,11 +124,11 @@ def position_models_ltl(arena: Arena, v, psi: Formula, caps: Caps = DEFAULT_CAPS
     """Does every infinite trace from v satisfy the LTL formula psi?"""
     if r_depth(psi) != 0:
         raise ValueError("position_models_ltl needs a plain LTL formula")
-    return trace_counterexample(arena, v, psi, caps=caps) is None
+    return v not in _failing_positions(arena, psi, [v], caps)
 
 
-def _failing_positions(arena: Arena, psi: Formula, sources, caps: Caps) -> set:
-    """The positions among sources with an infinite trace that violates psi.
+def _failing_positions_nba(arena: Arena, psi: Formula, sources, caps: Caps) -> set:
+    """`_failing_positions` for any body, by the automaton product.
 
     One product seeded at every source and one SCC pass decide them all: a
     component is bad iff it holds an accepting cycle or reaches a bad
@@ -132,6 +142,104 @@ def _failing_positions(arena: Arena, psi: Formula, sources, caps: Caps) -> set:
             for m in members:
                 bad[m] = True
     return {position[i] for i, p in enumerate(parent) if p < 0 and bad[i]}
+
+
+def _rejecting_cycle(members, succ, colour, accepts) -> bool:
+    """Does the strongly connected set members, which holds a cycle, hold
+    one whose colour union accepts rejects?
+
+    A cycle through all of members sees every colour in it.  When that
+    union is accepted, a rejected cycle misses one of its bits, so it lies
+    in a cyclic component of members without the nodes carrying that bit;
+    each level of the recursion removes a bit.
+    """
+    hit = 0
+    for m in members:
+        hit |= colour[m]
+    if not accepts(hit):
+        return True
+    bits = hit
+    while bits:
+        bit = bits & -bits
+        bits ^= bit
+        rest = [m for m in members if not colour[m] & bit]
+        local = {m: i for i, m in enumerate(rest)}
+        sub = [[local[t] for t in succ[m] if t in local] for m in rest]
+        for part, cyclic in components(sub, [True] * len(rest)):
+            if cyclic and _rejecting_cycle([rest[i] for i in part], succ, colour, accepts):
+                return True
+    return False
+
+
+def _rejecting_seeds(arena: Arena, seeds, recs, accepts, caps: Caps) -> set:
+    """The positions among the distinct seeds with an infinite trace whose
+    letters satisfy recs[i] infinitely often exactly for the bits i of a
+    hit that accepts(hit) rejects.
+
+    Emerson-Lei emptiness by recursive SCC decomposition: the positions are
+    numbered by `graph.reachable`, counted against caps.product_nodes, and
+    one `graph.components` pass finds the bad components, those that reach
+    a bad component or hold a rejected cycle (`_rejecting_cycle`).
+    """
+    nodes, succ, _ = reachable(seeds, arena.successors, caps.product_nodes,
+                               "marker product nodes")
+    colours: dict = {}   # label -> bit set of the recs it satisfies
+    colour = []
+    for u in nodes:
+        label = arena.labels[u]
+        if label not in colours:
+            colours[label] = sum(1 << i for i, s in enumerate(recs) if holds(s, label))
+        colour.append(colours[label])
+    bad = [False] * len(nodes)
+    for members, cyclic in components(succ, [True] * len(nodes)):
+        if (any(bad[t] for m in members for t in succ[m])
+                or cyclic and _rejecting_cycle(members, succ, colour, accepts)):
+            for m in members:
+                bad[m] = True
+    return {u for u, b in zip(seeds, bad) if b}
+
+
+def _reject_all(hit) -> bool:
+    """With no recurrences to colour the positions, a seed fails every
+    condition that rejects all hits iff it has an infinite trace."""
+    return False
+
+
+def _method(psi: Formula) -> str:
+    """How `_failing_positions` decides psi: "state" for a state formula,
+    "next" for X of one, "muller" for a Boolean combination of G F s and
+    F G s (`muller_condition`), "automaton" for any other body."""
+    if is_state_formula(psi):
+        return "state"
+    if isinstance(psi, Next) and is_state_formula(psi.sub):
+        return "next"
+    if muller_condition(psi) is not None:
+        return "muller"
+    return "automaton"
+
+
+def _failing_positions(arena: Arena, psi: Formula, sources, caps: Caps) -> set:
+    """The positions among the distinct sources with an infinite trace that
+    violates psi.
+
+    A state formula fails where it is false and an infinite trace starts;
+    X s fails where a successor does so for s; a Muller body fails where a
+    trace reaches a cycle whose recurrences it rejects.  Only other bodies
+    build a Buchi automaton for not psi and its product with the arena.
+    """
+    method = _method(psi)
+    if method == "state":
+        seeds = [u for u in sources if not holds(psi, arena.labels[u])]
+        return _rejecting_seeds(arena, seeds, [], _reject_all, caps)
+    if method == "next":
+        seeds = list(dict.fromkeys(w for u in sources for w in arena.successors(u)
+                                   if not holds(psi.sub, arena.labels[w])))
+        bad = _rejecting_seeds(arena, seeds, [], _reject_all, caps)
+        return {u for u in sources if not bad.isdisjoint(arena.successors(u))}
+    if method == "muller":
+        recs, accepts = muller_condition(psi)
+        return _rejecting_seeds(arena, sources, recs, accepts, caps)
+    return _failing_positions_nba(arena, psi, sources, caps)
 
 
 def satisfying_positions(arena: Arena, psi: Formula, caps: Caps = DEFAULT_CAPS) -> frozenset:
@@ -160,6 +268,7 @@ def eliminate_r(arena: Arena, t, phi: Formula, caps: Caps = DEFAULT_CAPS):
     used = set(atoms(phi)) | set(arena.propositions)
     atom_sources: dict = {}
     marked_positions: dict = {}
+    methods: dict = {}
     new_labels = {p: set(power.arena.labels[p]) for p in power.arena.positions}
     # only positions some information set holds decide a marking
     held = set().union(*(p.info for p in power.arena.positions))
@@ -170,6 +279,7 @@ def eliminate_r(arena: Arena, t, phi: Formula, caps: Caps = DEFAULT_CAPS):
             raise NameCollisionError(f"fresh proposition {name!r} is already in use")
         used.add(name)
         atom_sources[name] = r_sub
+        methods[name] = _method(r_sub.sub)
         failing = _failing_positions(arena, r_sub.sub, sources, caps)
         marked = []
         for p in power.arena.positions:
@@ -188,14 +298,14 @@ def eliminate_r(arena: Arena, t, phi: Formula, caps: Caps = DEFAULT_CAPS):
     marked_arena = copy.copy(power.arena)
     marked_arena.labels = {p: frozenset(ls) for p, ls in new_labels.items()}
     marked_arena.name = f"{arena.name}^"
-    report = MarkingReport(atom_sources, marked_positions, power)
+    report = MarkingReport(atom_sources, marked_positions, power, methods)
     return marked_arena, lifted, phi_hat, report
 
 
 def format_marking_report(report: MarkingReport) -> str:
     lines = []
     for name, source in report.atom_sources.items():
-        lines.append(f"atom {name} := {format_formula(source)}")
+        lines.append(f"atom {name} := {format_formula(source)} by={report.methods[name]}")
         marked = report.marked_positions[name]
         ordered = [p for p in report.power.arena.positions if p in marked]
         for p in ordered:

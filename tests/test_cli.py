@@ -330,11 +330,12 @@ def test_dump_honours_caps(g0_files, capsys):
     assert code == 2
     assert "exceeds cap 2" in stderr
     arena, fst = g0_files
-    code, _, _ = run_cli(["dump", "marking", arena, fst, "[R] G F p",
-                          "--max-product", "3"], capsys)
+    # G(p -> F q) takes the automaton product, of 4 nodes here
+    code, _, _ = run_cli(["dump", "marking", arena, fst, "[R] G(p -> F q)",
+                          "--max-product", "4"], capsys)
     assert code == 0
-    code, stdout, stderr = run_cli(["dump", "marking", arena, fst, "[R] G F p",
-                                    "--max-product", "2"], capsys)
+    code, stdout, stderr = run_cli(["dump", "marking", arena, fst, "[R] G(p -> F q)",
+                                    "--max-product", "3"], capsys)
     assert code == 2
     assert "marker product nodes" in stderr
     assert stdout == ""
@@ -455,6 +456,7 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
         "diag powerset": ["powerset", diag + ".arena", diag + ".fst"],
         "diag marking": ["marking", diag + ".arena", diag + ".fst", "[R] pf"],
         "length powerset": ["powerset", str(branching), str(length)],
+        "muller marking": ["marking", str(arena), str(fst), "[R] G F p"],
     }
     dump_stdouts = {name: set() for name in dumps}
     stdouts, automata, strategies, checks = set(), set(), set(), set()

@@ -6,7 +6,8 @@ from conftest import lassos_of, lift_play, make_branching, make_g0, random_arena
 from unistrat.arena import Arena
 from unistrat.errors import CapExceeded
 from unistrat.formula import Atom, R, format_formula, parse, r_depth
-from unistrat.ltlgame import Caps
+from unistrat.ltlgame import Caps, ltl_to_nba
+from unistrat import marker
 from unistrat.marker import (eliminate_r, format_marking_report,
                              position_models_ltl, satisfying_positions,
                              trace_counterexample)
@@ -111,10 +112,93 @@ def test_lassos_of_closes_cycles_at_every_occurrence():
 
 def test_satisfying_positions_respects_product_cap():
     arena = make_branching()
-    psi = parse("G F p")
+    # a body outside the automaton-free shapes: its product has 7 nodes
+    psi = parse("G(p -> F q)")
     satisfying_positions(arena, psi, caps=Caps(product_nodes=10 ** 4))
     with pytest.raises(CapExceeded):
         satisfying_positions(arena, psi, caps=Caps(product_nodes=len(arena.positions)))
+
+
+def test_muller_body_counts_positions_against_product_cap():
+    """A Muller body explores the positions reachable from the sources,
+    here all five of the arena, and no product."""
+    arena = make_branching()
+    psi = parse("G F p & F G !q")
+    satisfying_positions(arena, psi, caps=Caps(product_nodes=len(arena.positions)))
+    with pytest.raises(CapExceeded) as raised:
+        satisfying_positions(arena, psi, caps=Caps(product_nodes=len(arena.positions) - 1))
+    assert (raised.value.what, raised.value.size) == ("marker product nodes", 5)
+
+
+# bodies decided without an automaton, by the shape _failing_positions sees
+SHAPED_BODIES = {
+    "state": ["true", "false", "p", "!p", "p & !q", "!(p & !r) & q"],
+    "next": ["X p", "X !q", "X (p & !r)", "X true", "X false"],
+    "muller": ["G F p", "F G q", "G F (p & !r)", "G F p & G F q", "G F p | F G q",
+               "G F p -> F G r", "!(G F p & F G !q)", "G F p & G F q & F G r",
+               "(G F p -> G F q) & !F G (q & r)"],
+}
+
+
+def _with_dead_ends(rng, arena):
+    """The arena with every move out of one or two positions removed."""
+    dead = set(rng.sample(arena.positions, rng.randint(1, 2)))
+    return Arena(arena.positions, arena.owner,
+                 [(u, w) for u, w in arena.edges if u not in dead],
+                 arena.initial, arena.labels)
+
+
+def test_shaped_bodies_match_the_automaton_product(rng):
+    """State, next and Muller bodies give the failing positions the
+    automaton product gives, on random arenas with and without dead ends,
+    from every position and from a random part of them."""
+    arenas = []
+    for _ in range(30):
+        arena = random_arena(rng, props=("p", "q", "r"))
+        arenas += [arena, _with_dead_ends(rng, arena)]
+    for method, texts in SHAPED_BODIES.items():
+        for text in texts:
+            psi = parse(text)
+            assert marker._method(psi) == method, text
+            for arena in arenas:
+                some = [u for u in arena.positions if rng.random() < 0.5]
+                for sources in (arena.positions, some):
+                    want = marker._failing_positions_nba(arena, psi, sources, Caps())
+                    got = marker._failing_positions(arena, psi, sources, Caps())
+                    assert got == want, (text, sources)
+
+
+def test_shaped_bodies_skip_the_automaton(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return ltl_to_nba(*args, **kwargs)
+
+    monkeypatch.setattr(marker, "ltl_to_nba", counted)
+    arena = make_branching()
+    t = restricted(identity_transducer(arena.positions), arena)
+    for text in ("[R](G F p & G F q)", "[R] X p"):
+        eliminate_r(arena, t, parse(text))
+    assert calls == []
+    eliminate_r(arena, t, parse("[R](p U q)"))
+    assert len(calls) == 1
+
+
+def test_marking_report_says_how_each_body_was_decided():
+    arena = make_branching()
+    t = restricted(identity_transducer(arena.positions), arena)
+    phi = parse("[R] p & [R] X p & [R] G F p & [R](p U q)")
+    _, _, _, report = eliminate_r(arena, t, phi)
+    by_source = {format_formula(report.atom_sources[name].sub): method
+                 for name, method in report.methods.items()}
+    assert by_source == {"p": "state", "X p": "next",
+                         format_formula(parse("G F p")): "muller",
+                         "p U q": "automaton"}
+    atom_lines = [line for line in format_marking_report(report).splitlines()
+                  if line.startswith("atom ")]
+    assert [line.rsplit(" ", 1)[1] for line in atom_lines] == [
+        "by=state", "by=next", "by=muller", "by=automaton"]
 
 
 def test_eliminate_r_true_marks_everything():
