@@ -220,13 +220,44 @@ class _Parser:
         raise FormulaParseError(f"unexpected token {val!r}", pos)
 
 
+# The passes over formulas recurse once per level of nesting; this bound
+# keeps them well inside the interpreter's default recursion limit.
+MAX_DEPTH = 500
+
+
+def _too_deep(f: Formula) -> bool:
+    """Is f nested more than MAX_DEPTH levels deep?  Walks f level by
+    level, without recursion, each shared subformula once per level."""
+    level = [f]
+    for _ in range(MAX_DEPTH):
+        below = {}
+        for g in level:
+            if isinstance(g, (Not, Next, R)):
+                below[id(g.sub)] = g.sub
+            elif isinstance(g, (And, Until)):
+                below[id(g.left)] = g.left
+                below[id(g.right)] = g.right
+        if not below:
+            return False
+        level = list(below.values())
+    return True
+
+
 def parse(text: str) -> Formula:
-    """Parse formula text into a core AST, expanding all sugar."""
+    """Parse formula text into a core AST, expanding all sugar.
+
+    Text nested too deeply for the recursive-descent parser, or giving a
+    formula more than MAX_DEPTH levels deep, is rejected."""
     parser = _Parser(text)
-    out = parser.parse_formula()
+    try:
+        out = parser.parse_formula()
+    except RecursionError:
+        raise FormulaParseError("formula nested too deeply") from None
     kind, val, pos = parser.peek()
     if kind != "end":
         raise FormulaParseError(f"trailing input {val!r}", pos)
+    if _too_deep(out):
+        raise FormulaParseError(f"formula nested deeper than {MAX_DEPTH} levels")
     return out
 
 

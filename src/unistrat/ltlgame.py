@@ -6,12 +6,11 @@ parity game with Zielonka's algorithm, extracting positional strategies.
 A Boolean combination of `G F s` and `F G s` over state formulas gets the
 automaton of its Zielonka tree directly; any other objective is first
 translated into a nondeterministic Buchi word automaton (on-the-fly
-expansion of its negation normal form).  That automaton is used as it is
-when deterministic; when it is terminal (co-safety: a run accepts once it
-reaches an accepting state that loops on every letter) it gets a subset
-construction; otherwise it is determinized (Safra/Piterman compact trees).
-The subset construction, Safra and every search over a Buchi automaton
-skip its dead states, those that reach no accepting state.  Automaton
+expansion of its negation normal form), which keeps only its live states,
+those that reach an accepting state.  That automaton gets a subset
+construction when it is deterministic or terminal (co-safety: a run
+accepts once it reaches an accepting state that loops on every letter);
+otherwise it is determinized (Safra/Piterman compact trees).  Automaton
 states and game nodes are numbered once, by `graph.reachable`.
 
 Letters are sets of proposition names (frozensets).  Priorities use the
@@ -75,18 +74,12 @@ def _alphabet(ap, letters) -> tuple:
 
 @dataclass
 class BuchiAutomaton:
-    """`live` holds the states that reach an accepting state; the others
-    accept no word, so searches and determinization leave them out."""
     ap: tuple
     letters: tuple
     states: tuple
     initial: frozenset
     accepting: frozenset
     transitions: dict  # (state, letter) -> frozenset of states
-    live: frozenset
-
-    def successors(self, q, letter):
-        return self.transitions[(q, frozenset(letter) & frozenset(self.ap))]
 
     def accepts_lasso(self, stem, cycle) -> bool:
         """Membership of the ultimately periodic word stem . cycle^omega."""
@@ -99,10 +92,10 @@ class BuchiAutomaton:
         def successors(node):
             q, i = node
             j = i + 1 if i + 1 < total else loop_to
-            return [(q2, j) for q2 in self.transitions[(q, word[i])] if q2 in self.live]
+            return [(q2, j) for q2 in self.transitions[(q, word[i])]]
 
         # accepting run <=> some reachable accepting node lies on a cycle
-        nodes, succ, _ = reachable([(q, 0) for q in self.initial & self.live], successors)
+        nodes, succ, _ = reachable([(q, 0) for q in self.initial], successors)
         accepting = [q in self.accepting for q, _ in nodes]
         return any(found for _, found in components(succ, accepting))
 
@@ -111,16 +104,13 @@ class BuchiAutomaton:
 # (atoms needed true, atoms needed false, nodes obliged from the next step
 # on, untils postponed).
 
-def _size(t):
-    return t[0].bit_count() + t[1].bit_count() + t[2].bit_count() + t[3].bit_count()
-
-
 def _reduce(terms):
     """Distinct terms, without those another term subsumes (by needing no
     more atoms, obliging no more and postponing no more), which leaves the
     language of every state unchanged; smallest first."""
     kept = []
-    for t in sorted(set(terms), key=lambda t: (_size(t), t)):
+    for t in sorted(set(terms), key=lambda t: (
+            t[0].bit_count() + t[1].bit_count() + t[2].bit_count() + t[3].bit_count(), t)):
         pos, neg, nxt, post = t
         for k in kept:
             if not (k[0] & ~pos or k[1] & ~neg or k[2] & ~nxt or k[3] & ~post):
@@ -223,6 +213,34 @@ class _Expansion:
             + _conjoin(self.terms[b], [(0, 0, 1 << i, 0)])))
 
 
+def _letter_moves(terms, masks):
+    """The moves of one obligation set by letter: (kinds, index), where
+    kinds holds a tuple of (obliged, postponed) moves per way the letters
+    read the atoms the terms test, and kinds[index[i]] the moves letter i
+    allows.  On a letter, a move obliging and postponing no more than
+    another makes that one redundant."""
+    tested = 0
+    for pos, neg, _, _ in terms:
+        tested |= pos | neg
+    kinds, index, seen = [], [], {}
+    for mask in masks:
+        j = seen.get(mask & tested)
+        if j is None:
+            j = seen[mask & tested] = len(kinds)
+            fit = [(nxt, post) for pos, neg, nxt, post in terms
+                   if not (pos & ~mask or neg & mask)]
+            kept = []
+            for nxt, post in fit:
+                for n, p in fit:
+                    if (n != nxt or p != post) and not (n & ~nxt or p & ~post):
+                        break
+                else:
+                    kept.append((nxt, post))
+            kinds.append(tuple(kept))
+        index.append(j)
+    return kinds, index
+
+
 def ltl_to_nba(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> BuchiAutomaton:
     """On-the-fly translation of an LTL formula into a Buchi word automaton
     (Gerth, Peled, Vardi & Wolper, PSTV 1995).
@@ -231,10 +249,11 @@ def ltl_to_nba(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> BuchiAu
     terms of their conjunction, and only states reachable from {psi} are
     built.  Sets with the same moves are one state.  Each until gives an
     acceptance set, the moves that do not postpone it, and a counter
-    degeneralizes these into accepting states.  States are numbered
-    0..n-1 in discovery order, a rejecting sink last when some letter has
-    no move, so transitions are total per letter.  The live states are
-    found once, from the distinct moves of each state.
+    degeneralizes these into accepting states.  Only the live states are
+    kept, those that reach an accepting state, numbered 0..n-1 in
+    discovery order; a (state, letter) pair with no live successor maps
+    to the empty set.  A formula with no state that reaches an accepting
+    one, or with no move at all (such as p & !p), gives no states.
     """
     if r_depth(psi) != 0:
         raise ValueError("ltl_to_nba needs a plain LTL formula")
@@ -246,21 +265,19 @@ def ltl_to_nba(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> BuchiAu
     masks = [sum(ex.bit[x] for x in letter if x in ex.bit) for letter in letters]
 
     class_of: dict = {}   # obligation set -> index of its moves in `moves`
-    moves: list = []
+    moves: list = []      # per moves class, its `_letter_moves`
     move_class: dict = {}
 
     def obligations(nodes):
         c = class_of.get(nodes)
         if c is None:
-            terms = [(0, 0, 0, 0)]
-            bits = nodes
-            while bits:
-                low = bits & -bits
-                terms = _conjoin(terms, ex.terms[low.bit_length() - 1])
-                bits ^= low
+            first, *rest = [i for i in range(nodes.bit_length()) if nodes >> i & 1] or [ex.true]
+            terms = ex.terms[first]
+            for i in rest:
+                terms = _conjoin(terms, ex.terms[i])
             c = class_of[nodes] = move_class.setdefault(tuple(terms), len(moves))
             if c == len(moves):
-                moves.append(terms)
+                moves.append(_letter_moves(terms, masks))
         return c
 
     ids: dict = {}   # (moves class, level) -> state
@@ -276,61 +293,40 @@ def ltl_to_nba(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> BuchiAu
                 raise CapExceeded("Buchi automaton states", len(keys), caps.nba_states)
         return q
 
-    state(1 << root, 0)
-    transitions = {}
-    reach = []   # per state, the states its moves lead to
-    for q, (c, level) in enumerate(keys):   # appended to while walked
+    def target(nxt, post, j):
+        while j < k and not post >> j & 1:
+            j += 1
+        return state(nxt, j)
+
+    # an accepting state (level k) moves as level 0 does
+    rows: dict = {}   # (moves class, start level) -> target set of each move kind
+    reach = []        # per state, the states its moves lead to
+    if ex.terms[root]:   # a formula with no move at all has no state
+        state(1 << root, 0)
+    for c, level in keys:   # appended to while walked
         start = 0 if level == k else level
-
-        def target(nxt, post):
-            j = start
-            while j < k and not post >> j & 1:
-                j += 1
-            return state(nxt, j)
-
-        reads = {}   # moves a letter satisfies -> the states they lead to
-        for letter, mask in zip(letters, masks):
-            fit = tuple((nxt, post) for pos, neg, nxt, post in moves[c]
-                        if not (pos & ~mask or neg & mask))
-            if fit not in reads:
-                # on this letter, a move obliging and postponing no more
-                # than another makes that one redundant
-                reads[fit] = frozenset(
-                    target(nxt, post) for nxt, post in fit
-                    if not any((n, p) != (nxt, post) and not (n & ~nxt or p & ~post)
-                               for n, p in fit))
-            transitions[(q, letter)] = reads[fit]
-        reach.append(frozenset().union(*reads.values()))
-    states = list(range(len(keys)))
-    accepting = frozenset(q for q, (_, level) in enumerate(keys) if level == k)
-    _, alive = live([0], reach.__getitem__, accepting.__contains__)
-    if not all(transitions.values()):
-        sink = len(states)
-        states.append(sink)
-        if len(states) > caps.nba_states:
-            raise CapExceeded("Buchi automaton states", len(states), caps.nba_states)
-        for move, tgt in transitions.items():
-            if not tgt:
-                transitions[move] = frozenset([sink])
-        for letter in letters:
-            transitions[(sink, letter)] = frozenset([sink])
-    return BuchiAutomaton(ap=ap, letters=letters, states=tuple(states),
-                          initial=frozenset([0]), accepting=accepting,
-                          transitions=transitions, live=frozenset(alive))
-
-
-def _trimmed(nba: BuchiAutomaton) -> BuchiAutomaton:
-    """nba without its dead states; every other state keeps its language,
-    and a (state, letter) pair may be left with no successor."""
-    alive = nba.live
-    if len(alive) == len(nba.states):
-        return nba
-    return BuchiAutomaton(
-        ap=nba.ap, letters=nba.letters,
-        states=tuple(q for q in nba.states if q in alive),
-        initial=nba.initial & alive, accepting=nba.accepting, live=alive,
-        transitions={(q, letter): targets & alive
-                     for (q, letter), targets in nba.transitions.items() if q in alive})
+        if (c, start) not in rows:
+            rows[(c, start)] = [frozenset(target(nxt, post, start) for nxt, post in kind)
+                                for kind in moves[c][0]]
+        reach.append(frozenset().union(*rows[(c, start)]))
+    accepting = [level == k for _, level in keys]
+    _, alive = live(range(len(keys)), reach.__getitem__, accepting.__getitem__)
+    number = {q: i for i, q in enumerate(sorted(alive))}
+    live_sets: dict = {}   # target set -> its live states, renumbered once
+    for row in rows.values():
+        for targets in row:
+            if targets not in live_sets:
+                live_sets[targets] = frozenset(number[t] for t in targets if t in number)
+    transitions = {}
+    for q, i in number.items():
+        c, level = keys[q]
+        row = rows[(c, 0 if level == k else level)]
+        for letter, j in zip(letters, moves[c][1]):
+            transitions[(i, letter)] = live_sets[row[j]]
+    return BuchiAutomaton(ap=ap, letters=letters, states=tuple(range(len(number))),
+                          initial=frozenset([0]) if number else frozenset(),
+                          accepting=frozenset(number[q] for q in number if accepting[q]),
+                          transitions=transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +373,6 @@ class ParityAutomaton:
     def __len__(self):
         return len(self.states)
 
-    def step(self, q, letter):
-        return self.delta[(q, frozenset(letter) & frozenset(self.ap))]
-
     def accepts_lasso(self, stem, cycle) -> bool:
         word = [frozenset(x) & frozenset(self.ap) for x in tuple(stem) + tuple(cycle)]
         loop_to = len(stem)
@@ -410,9 +403,7 @@ def determinize(nba: BuchiAutomaton, caps: Caps = DEFAULT_CAPS) -> ParityAutomat
     gives 2i, the death of node i gives 2i - 1, and a quiet step gives the
     neutral odd value 2n + 1.  The priority is attached to the target state.
     States are numbered 0..n-1 in breadth-first order, the initial one 0.
-    Dead states of nba are left out of the trees.
     """
-    nba = _trimmed(nba)
     n = len(nba.states)
     neutral = 2 * n + 1
 
@@ -609,29 +600,22 @@ def _zielonka_dpa(recs, accepts, ap, letters, caps: Caps) -> ParityAutomaton:
     return dpa
 
 
-def _nba_as_dpa(nba: BuchiAutomaton, caps: Caps) -> ParityAutomaton:
-    """A deterministic NBA read as a parity automaton: entering an
-    accepting state gives priority 0, entering any other state 1."""
-    if len(nba.states) > caps.dpa_states:
-        raise CapExceeded("parity automaton states", len(nba.states), caps.dpa_states)
-    (initial,) = nba.initial
-    delta = {move: q for move, (q,) in nba.transitions.items()}
-    priority = {q: 0 if q in nba.accepting else 1 for q in nba.states}
-    dpa = ParityAutomaton(nba.ap, nba.letters, nba.states, initial, delta, priority)
-    dpa.construction = "nba"
-    return dpa
+def _subset_final(nba: BuchiAutomaton):
+    """The accepting states of nba that loop on every letter, when the
+    subset construction over them accepts the language of nba, else None.
 
-
-def _terminal_states(nba: BuchiAutomaton):
-    """The accepting states of nba that loop on every letter, when every
-    accepting state on a cycle does (nba is terminal), else None.  A run
-    of a terminal automaton visits accepting states infinitely often iff
-    it reaches one of these states, so its language is co-safety.  The
-    states of nba must be numbered 0..n-1, as `ltl_to_nba` numbers them."""
-    succ = [sorted({t for letter in nba.letters for t in nba.transitions[(q, letter)]})
-            for q in nba.states]
+    It does when nba is deterministic, and when every accepting state on
+    a cycle loops on every letter (nba is terminal): then a run visits
+    accepting states infinitely often iff it reaches one of these states,
+    so its language is co-safety.  The states of nba must be numbered
+    0..n-1, as `ltl_to_nba` numbers them.
+    """
     final = frozenset(q for q in nba.accepting
                       if all(q in nba.transitions[(q, letter)] for letter in nba.letters))
+    if all(len(targets) <= 1 for targets in nba.transitions.values()):
+        return final
+    succ = [sorted({t for letter in nba.letters for t in nba.transitions[(q, letter)]})
+            for q in nba.states]
     for members, accepting_cycle in components(succ, [q in nba.accepting for q in nba.states]):
         if accepting_cycle and any(m in nba.accepting and m not in final for m in members):
             return None
@@ -639,20 +623,31 @@ def _terminal_states(nba: BuchiAutomaton):
 
 
 def _subset_dpa(nba: BuchiAutomaton, final, caps: Caps) -> ParityAutomaton:
-    """Subset construction for a terminal automaton (Kupferman & Vardi,
-    FMSD 2001): a state is the set of live states a prefix can reach, and
-    every set holding a state of final is one absorbing accepting state,
-    entered with priority 0; every other state is entered with priority 1."""
+    """Subset construction (Kupferman & Vardi, FMSD 2001): a state is the
+    set of states a prefix can reach.  Every set holding a state of final
+    is one absorbing accepting state, and a set of one accepting state is
+    entered with priority 0; every other set is entered with priority 1.
+
+    This is the Buchi condition when nba is deterministic, since its sets
+    hold at most one state.  It is exact too for a terminal nba with final
+    as `_subset_final` gives it: a set of one accepting state outside
+    final never recurs, since its state would lie on a cycle.
+    """
     accept = (None, 0)
 
     def state(subset):
-        subset &= nba.live
-        return accept if subset & final else (subset, 1)
+        if not final.isdisjoint(subset):
+            return accept
+        return subset, 0 if len(subset) == 1 and subset <= nba.accepting else 1
 
     def successors(current):
         if current is accept:
             return [accept] * len(nba.letters)
-        return [state(frozenset().union(*(nba.transitions[(q, letter)] for q in current[0])))
+        subset = current[0]
+        if len(subset) == 1:   # as in every state of a deterministic nba
+            (q,) = subset
+            return [state(nba.transitions[(q, letter)]) for letter in nba.letters]
+        return [state(frozenset().union(*(nba.transitions[(q, letter)] for q in subset)))
                 for letter in nba.letters]
 
     states, succ, _ = reachable([state(nba.initial)], successors, caps.dpa_states,
@@ -670,14 +665,12 @@ def ltl_to_dpa(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> ParityA
     1. a Boolean combination of G F s and F G s over state formulas s is a
        Muller condition and gets the automaton of its Zielonka tree, with
        no Buchi automaton built;
-    2. otherwise a Buchi automaton with one successor per (state, letter)
-       is used as it is;
-    3. a terminal Buchi automaton gets a subset construction over its live
-       states;
-    4. any other Buchi automaton is determinized by Safra's construction.
+    2. otherwise a deterministic or terminal Buchi automaton gets a subset
+       construction;
+    3. any other Buchi automaton is determinized by Safra's construction.
 
     Every path respects caps.dpa_states; `construction` on the result says
-    which one ran ("zielonka-tree", "nba", "subset" or "safra").
+    which one ran ("zielonka-tree", "subset" or "safra").
     """
     if r_depth(psi) != 0:
         raise ValueError("ltl_to_dpa needs a plain LTL formula")
@@ -686,9 +679,7 @@ def ltl_to_dpa(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> ParityA
         ap = tuple(sorted(atoms(psi)))
         return _zielonka_dpa(*muller, ap, _alphabet(ap, letters), caps)
     nba = ltl_to_nba(psi, letters=letters, caps=caps)
-    if all(len(targets) == 1 for targets in nba.transitions.values()):
-        return _nba_as_dpa(nba, caps)
-    final = _terminal_states(nba)
+    final = _subset_final(nba)
     if final is not None:
         return _subset_dpa(nba, final, caps)
     return determinize(nba, caps=caps)

@@ -53,11 +53,8 @@ def _violation_graph(arena: Arena, psi: Formula, sources, caps: Caps):
     """Product of the arena with an NBA for not psi, reachable from (u, q0)
     for u in sources, numbered by `graph.reachable`; its accepting traces
     are the traces violating psi.  Returns the (position, accepting, succ,
-    parent) lists of its nodes.
-
-    Nodes with a dead NBA state are left out: they lie on no accepting
-    trace, and their successors are dead too, so the breadth-first order
-    of the other nodes, and the witnesses read from it, stay the same.
+    parent) lists of its nodes.  No node carries an NBA state that reaches
+    no accepting state: `ltl_to_nba` keeps none.
     """
     ap = frozenset(atoms(psi))
     letter_of = [arena.labels[u] & ap for u in arena.positions]
@@ -66,7 +63,7 @@ def _violation_graph(arena: Arena, psi: Formula, sources, caps: Caps):
     # ltl_to_nba numbers its states 0..n-1; sorted reads keep searches
     # (and witnesses) reproducible
     nq = len(nba.states)
-    reads = {key: sorted(targets & nba.live) for key, targets in nba.transitions.items()}
+    reads = {key: sorted(targets) for key, targets in nba.transitions.items()}
     moves = [[arena.index(w) * nq for w in arena.successors(u)]
              for u in arena.positions]
 
@@ -75,7 +72,7 @@ def _violation_graph(arena: Arena, psi: Formula, sources, caps: Caps):
         return [w + q2 for q2 in reads[(q, letter_of[u])] for w in moves[u]]
 
     seeds = [arena.index(u) * nq + q for u in sources
-             for q in sorted(nba.initial & nba.live)]
+             for q in sorted(nba.initial)]
     nodes, succ, parent = reachable(seeds, successors, caps.product_nodes,
                                     "marker product nodes")
     position = [arena.positions[node // nq] for node in nodes]

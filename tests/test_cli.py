@@ -364,6 +364,24 @@ def test_dump_automaton_inline(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("formula, code", [
+    ("(" * 200 + "p" + ")" * 200, 2),
+    (" & ".join(["p"] * 1000), 2),
+    ("(" * 150 + "p" + ")" * 150, 0),
+    (" & ".join(["p"] * 500), 0),
+    ("X " * 300 + "p", 0),
+], ids=["200-parentheses", "1000-conjuncts", "150-parentheses", "500-conjuncts", "300-next"])
+def test_solve_deep_formula_exit_codes(g0_files, formula, code):
+    # too deep a formula is malformed input (exit 2), never a crash (exit 1,
+    # which means no strategy exists)
+    arena, fst = g0_files
+    proc = subprocess.run([sys.executable, "-m", "unistrat.cli", "solve", arena, fst, formula],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == code, proc.stderr[-300:]
+    if code == 2:
+        assert proc.stderr.count("\n") == 1 and "nested" in proc.stderr
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "unistrat.cli", "--help"],
                           capture_output=True, text=True, env=child_env())

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import child_env
 from unistrat.errors import FormulaParseError, NameCollisionError
-from unistrat.formula import (And, Atom, Const, Next, Not, R, Until, atoms,
-                              depth1_r_subformulas, format_formula, parse,
+from unistrat.formula import (MAX_DEPTH, And, Atom, Const, Next, Not, R, Until,
+                              atoms, depth1_r_subformulas, format_formula, parse,
                               r_depth, subformulas, substitute)
 
 
@@ -79,6 +79,19 @@ def test_parse_errors():
         parse("(p")
     with pytest.raises(FormulaParseError):
         parse("p % q")
+
+
+def test_parse_bounds_nesting():
+    # the deepest formula the recursive passes take is MAX_DEPTH levels
+    assert r_depth(parse(" & ".join(["p"] * MAX_DEPTH))) == 0
+    with pytest.raises(FormulaParseError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse(" & ".join(["p"] * (MAX_DEPTH + 1)))
+    with pytest.raises(FormulaParseError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse("G " * 200 + "p")
+    # text the parser itself cannot descend into
+    for text in ("!" * 2000 + "p", "(" * 400 + "p" + ")" * 400):
+        with pytest.raises(FormulaParseError, match="nested too deeply"):
+            parse(text)
 
 
 def _random_core(rng, size, names=("p", "q", "r")):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import sys
@@ -12,6 +11,7 @@ from unistrat.formula import Atom, And, Next, Not, Until, atoms, parse
 from unistrat.ltlgame import (Caps, ParityGame, all_letters,
                               build_product_game, determinize, ltl_to_dpa,
                               ltl_to_nba, solve_ltl_game, solve_parity)
+from unistrat.marker import trace_counterexample
 from unistrat.oracle import lasso_eval
 
 
@@ -82,21 +82,24 @@ def test_nba_four_response_conjuncts(rng):
 
 
 def test_nba_states_numbered_in_discovery_order():
-    nba = ltl_to_nba(parse("G p"))
-    n = len(nba.states)
-    assert nba.states == tuple(range(n))
+    nba = ltl_to_nba(parse("F(p & X q)"))
+    assert nba.states == (0, 1, 2)
     assert nba.initial == frozenset([0])
-    sink = n - 1   # G p has no move on the empty letter: the sink is last
-    assert sink not in nba.accepting
-    for letter in nba.letters:
-        assert nba.transitions[(sink, letter)] == frozenset([sink])
+    # {F(p & X q)} finds {q, F(p & X q)} on p, which finds {true} on q
+    assert nba.transitions[(0, frozenset({"p"}))] == frozenset([0, 1])
+    assert nba.transitions[(1, frozenset({"q"}))] == frozenset([2])
+    # G p has no move on the empty letter, and no sink stands in for one
+    nba = ltl_to_nba(parse("G p"))
+    assert nba.states == (0,) and nba.accepting == frozenset([0])
+    assert nba.transitions[(0, frozenset())] == frozenset()
 
 
 def test_nba_transitions_total():
+    # every (state, letter) pair has an entry, empty where no live move exists
     nba = ltl_to_nba(parse("p U q"))
-    for q in nba.states:
-        for letter in nba.letters:
-            assert nba.transitions[(q, letter)]
+    assert set(nba.transitions) == {(q, letter) for q in nba.states for letter in nba.letters}
+    assert nba.transitions[(0, frozenset())] == frozenset()
+    assert all(nba.transitions[(0, letter)] for letter in nba.letters if letter)
 
 
 def test_determinize_deterministic_input(rng):
@@ -477,13 +480,16 @@ def test_zielonka_tree_not_for_other_shapes():
 
 
 def test_deterministic_nba_used_as_dpa(rng):
+    # the subset construction of a deterministic NBA has its states as
+    # singletons, plus at most the empty set
     for text in ("p U q", "G(p -> X q)", "G(p -> F q)", "G(p -> X !p)",
                  "G(p -> F q) & G F r"):
         f = parse(text)
         nba = ltl_to_nba(f)
+        assert all(len(targets) <= 1 for targets in nba.transitions.values()), text
         dpa = ltl_to_dpa(f)
-        assert dpa.construction == "nba", text
-        assert len(dpa) == len(nba.states)
+        assert dpa.construction == "subset", text
+        assert len(dpa) <= len(nba.states) + 1
         assert set(dpa.priority.values()) <= {0, 1}
         for _ in range(40):
             stem, cycle = rand_lasso(rng, props=tuple(sorted(atoms(f))))
@@ -514,55 +520,80 @@ def test_ltl_to_dpa_random_formulas(rng):
         for _ in range(20):
             stem, cycle = rand_lasso(rng)
             assert dpa.accepts_lasso(stem, cycle) == lasso_eval(stem, cycle, f), str(f)
-    assert {"nba", "subset", "safra"} <= ran
-
-
-def untrimmed(nba):
-    """nba with every state declared live, so nothing trims it."""
-    return dataclasses.replace(nba, live=frozenset(nba.states))
+    assert {"subset", "safra"} <= ran
 
 
 def test_subset_dpa_sizes_and_cap():
-    # one absorbing accepting state, against Safra on the untrimmed and
-    # on the trimmed automaton
-    for text, states, safra, trimmed in (("F(p & X q)", 3, 16, 8),
-                                         ("F(p & X X q)", 5, 28, 12),
-                                         ("p U (q & X r)", 5, 30, 15)):
+    # one absorbing accepting state; Safra needs more on the same automaton
+    for text, states, safra in (("F(p & X q)", 3, 8), ("F(p & X X q)", 5, 12),
+                                ("p U (q & X r)", 5, 15)):
         f = parse(text)
         dpa = ltl_to_dpa(f)
         assert len(dpa) == states, text
-        assert list(dpa.priority.values()).count(0) == 1, text
-        nba = ltl_to_nba(f)
-        assert len(determinize(untrimmed(nba))) == safra, text
-        assert len(determinize(nba)) == trimmed, text
+        accept = [q for q in dpa.states if dpa.priority[q] == 0
+                  and all(dpa.delta[(q, letter)] == q for letter in dpa.letters)]
+        assert len(accept) == 1, text
+        assert len(determinize(ltl_to_nba(f))) == safra, text
     with pytest.raises(CapExceeded, match="parity automaton states"):
         ltl_to_dpa(parse("F(p & X X q)"), caps=Caps(dpa_states=4))
     assert len(ltl_to_dpa(parse("F(p & X X q)"), caps=Caps(dpa_states=5))) == 5
 
 
-def test_trimmed_determinize_matches_untrimmed(rng):
+def test_determinize_live_nba_sizes(rng):
     texts = ["F pf -> F @R0", "(!pf) W (!pf & rn)", "F p -> F q", "F(p & X q)",
              "G(p -> X X q)"]
     texts += [str(rand_ltl(rng, rng.randint(3, 6))) for _ in range(12)]
-    trimmed_some = 0
     for text in texts:
         f = parse(text)
-        nba = ltl_to_nba(f)
-        dpa = determinize(nba)
-        assert_dpas_agree(dpa, determinize(untrimmed(nba)), f, oracle_stem=1)
-        trimmed_some += len(nba.live) < len(nba.states)
-    assert trimmed_some >= 5
-    for text, before, after in (("F pf -> F @R0", 17, 12), ("(!pf) W (!pf & rn)", 14, 11)):
-        nba = ltl_to_nba(parse(text))
-        assert len(determinize(untrimmed(nba))) == before
-        assert len(determinize(nba)) == after
+        assert_dpas_agree(determinize(ltl_to_nba(f)), ltl_to_dpa(f), f, oracle_stem=1)
+    for text, states in (("F pf -> F @R0", 12), ("(!pf) W (!pf & rn)", 11)):
+        assert len(determinize(ltl_to_nba(parse(text)))) == states
+
+
+def reaches_accepting(nba):
+    """Per state of nba, whether it reaches an accepting state, by a plain
+    search over the transition table."""
+    succ = {q: set().union(*(nba.transitions[(q, letter)] for letter in nba.letters))
+            for q in nba.states}
+    out = {}
+    for q in nba.states:
+        seen, stack = {q}, [q]
+        while stack:
+            for t in succ[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        out[q] = bool(seen & nba.accepting)
+    return out
 
 
 def test_nba_live_states():
-    # the rejecting sink and the obligations that only lead to it are dead
+    # no sink, and no state that only leads to one
     nba = ltl_to_nba(parse("F(p & X q)"))
-    assert nba.accepting <= nba.live < frozenset(nba.states)
-    assert max(nba.states) not in nba.live
+    assert all(reaches_accepting(nba).values())
+    assert nba.transitions[(1, frozenset())] == frozenset()
+
+
+def test_nba_keeps_only_live_states(rng):
+    for _ in range(60):
+        f = rand_ltl(rng, rng.randint(2, 8), ("p", "q", "r"))
+        for letters in (None, rng.sample(all_letters(atoms(f)), 2)):
+            nba = ltl_to_nba(f, letters)
+            assert all(reaches_accepting(nba).values()), str(f)
+            assert nba.initial == (frozenset([0]) if nba.states else frozenset())
+
+
+@pytest.mark.parametrize("text", ("false", "p & !p"))
+def test_unsatisfiable_formula_has_no_automaton_states(text):
+    f = parse(text)
+    nba = ltl_to_nba(f)
+    assert nba.states == () and nba.initial == frozenset()
+    assert nba.transitions == {}
+    dpa = ltl_to_dpa(f)
+    assert len(dpa) == 1 and dpa.priority[dpa.initial] % 2 == 1
+    assert not dpa.accepts_lasso([], [frozenset(atoms(f))])
+    g0 = make_g0()
+    assert trace_counterexample(g0, g0.initial, parse("true")) is None
 
 
 def test_new_constructions_respect_dpa_cap():
