@@ -26,15 +26,31 @@ __all__ = [
 class Formula:
     """Base class for AST nodes.
 
-    A node's hash is computed once, when it is made: hashing walks the
-    whole subtree, and formulas are looked up far more often than made.
+    A node computes its hash, R-depth, atom set and height (levels of
+    nesting, 1 for a leaf) from its children's when it is made, so none of
+    them walks the subtree: formulas are queried far more often than made.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_rdepth", "_atoms", "_height")
 
     def __post_init__(self):
         fields = tuple(getattr(self, name) for name in self.__match_args__)
-        object.__setattr__(self, "_hash", hash((type(self).__name__, fields)))
+        subs = [g for g in fields if isinstance(g, Formula)]
+        if subs:
+            rdepth = max(g._rdepth for g in subs) + isinstance(self, R)
+            height = 1 + max(g._height for g in subs)
+            names = subs[0]._atoms
+            for g in subs[1:]:
+                if not g._atoms <= names:
+                    names = g._atoms if names <= g._atoms else names | g._atoms
+        else:
+            rdepth, height = 0, 1
+            names = frozenset([self.name] if isinstance(self, Atom) else [])
+        set_ = object.__setattr__
+        set_(self, "_hash", hash((type(self).__name__, fields)))
+        set_(self, "_rdepth", rdepth)
+        set_(self, "_atoms", names)
+        set_(self, "_height", height)
 
     def __hash__(self):
         return self._hash
@@ -225,24 +241,6 @@ class _Parser:
 MAX_DEPTH = 500
 
 
-def _too_deep(f: Formula) -> bool:
-    """Is f nested more than MAX_DEPTH levels deep?  Walks f level by
-    level, without recursion, each shared subformula once per level."""
-    level = [f]
-    for _ in range(MAX_DEPTH):
-        below = {}
-        for g in level:
-            if isinstance(g, (Not, Next, R)):
-                below[id(g.sub)] = g.sub
-            elif isinstance(g, (And, Until)):
-                below[id(g.left)] = g.left
-                below[id(g.right)] = g.right
-        if not below:
-            return False
-        level = list(below.values())
-    return True
-
-
 def parse(text: str) -> Formula:
     """Parse formula text into a core AST, expanding all sugar.
 
@@ -256,7 +254,7 @@ def parse(text: str) -> Formula:
     kind, val, pos = parser.peek()
     if kind != "end":
         raise FormulaParseError(f"trailing input {val!r}", pos)
-    if _too_deep(out):
+    if out._height > MAX_DEPTH:
         raise FormulaParseError(f"formula nested deeper than {MAX_DEPTH} levels")
     return out
 
@@ -310,21 +308,13 @@ def subformulas(f: Formula) -> list[Formula]:
     return list(seen)
 
 
-def atoms(f: Formula) -> set[str]:
-    return {g.name for g in subformulas(f) if isinstance(g, Atom)}
+def atoms(f: Formula) -> frozenset[str]:
+    return f._atoms
 
 
 def r_depth(f: Formula) -> int:
     """Maximum nesting of R modalities; 0 means plain LTL."""
-    if isinstance(f, (Const, Atom)):
-        return 0
-    if isinstance(f, (Not, Next)):
-        return r_depth(f.sub)
-    if isinstance(f, (And, Until)):
-        return max(r_depth(f.left), r_depth(f.right))
-    if isinstance(f, R):
-        return 1 + r_depth(f.sub)
-    raise TypeError(f"not a formula node: {f!r}")
+    return f._rdepth
 
 
 def depth1_r_subformulas(f: Formula) -> list[Formula]:

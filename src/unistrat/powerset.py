@@ -18,8 +18,9 @@ round, or the outcome arena of a strategy, in strict checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .arena import Arena, covering_step
 from .graph import live, reachable
@@ -31,31 +32,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class PowerPosition:
+class PowerPosition(NamedTuple):
     """(underlying position, set of (state, last outputs) pairs, info).
 
     `last` is a frozenset holding one pair (state, frozenset of positions)
     per reachable state, so equal summaries are equal sets whatever the
     order they were found in.  `info` is the derived local information
-    set.  The hash of (v, last) is computed once, as positions are looked
-    up far more often than they are made.
+    set: a function of `last` and the relation's accepting states, so
+    positions of one power arena are equal iff their (v, last) are.  As a
+    tuple, a position hashes and compares in C over the frozensets' cached
+    hashes, and a loaded pickle hashes afresh.
     """
 
     v: object
     last: frozenset
-    info: frozenset = field(compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.v, self.last)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes: hash afresh when loaded
-        return PowerPosition, (self.v, self.last, self.info)
+    info: frozenset
 
     @property
     def states(self) -> frozenset:

@@ -55,11 +55,25 @@ class FusInstance:
         return cls(arena, restrict_to_plays(transducer, arena), phi, protagonist)
 
 
-@dataclass(frozen=True)
 class IterationStats:
-    arena_positions: int
-    transducer_states: int
-    rdepth: int
+    """Sizes of one round of the elimination tower: positions of its arena,
+    states of its relation and R-depth of its formula.
+
+    The relation is counted the first time `transducer_states` is read and
+    then dropped, so no lifted view is explored only to fill a trace.
+    """
+
+    def __init__(self, arena_positions: int, relation, rdepth: int):
+        self.arena_positions = arena_positions
+        self.rdepth = rdepth
+        self._relation = relation
+        self._states = None
+
+    @property
+    def transducer_states(self) -> int:
+        if self._relation is not None:
+            self._states, self._relation = len(self._relation), None
+        return self._states
 
 
 @dataclass
@@ -107,11 +121,12 @@ def synthesize_fully_uniform(inst: FusInstance, caps: Caps = DEFAULT_CAPS) -> Sy
     """Decide the fully-uniform strategy problem and extract a witness.
 
     Per-iteration sizes are recorded so callers can observe the tower of
-    exponentials instead of timing it; the trace holds only these counts,
-    so a result keeps no power arena alive.
+    exponentials instead of timing it.  Each trace entry counts its round's
+    relation when first read, so until then a result keeps that relation
+    (for a lifted view, with the power arena it covers) alive.
     """
     rounds, chain = _eliminate_all(inst.arena, inst.transducer, inst.phi, caps)
-    trace = [IterationStats(len(arena), len(relation), r_depth(phi))
+    trace = [IterationStats(len(arena), relation, r_depth(phi))
              for arena, relation, phi in rounds]
     arena, _, phi = rounds[-1]
     strategy_hat = solve_ltl_game(arena, phi, inst.protagonist, caps=caps)

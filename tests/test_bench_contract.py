@@ -1,7 +1,7 @@
 """What the benchmark in bench/ relies on from the library.
 
-`bench/tracing.py` wraps the functions it lists by name, and
-`bench/workloads.py::reused_automata` swaps `ltlgame.ltl_to_nba` and
+`bench/tracing.py` wraps the functions it lists by name and counts
+their results with `_attrs`, and `bench/workloads.py::reused_automata` swaps `ltlgame.ltl_to_nba` and
 `ltlgame.determinize` for caching versions that key each DPA by the NBA
 object it was given.  A library change that breaks either makes
 `bench/run.py` fail or crash, so these tests read bench/ (and never
@@ -12,8 +12,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from conftest import make_branching
 import unistrat.ltlgame as ltlgame
+from unistrat import marker, powerset
 from unistrat.formula import parse
+from unistrat.synthesizer import FusInstance, synthesize_fully_uniform
+from unistrat.transducer import length_transducer
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -31,6 +35,30 @@ def test_traced_functions_exist():
     for layer, name in tracing.TRACED:
         module = importlib.import_module(f"unistrat.{layer}")
         assert callable(getattr(module, name, None)), f"unistrat.{layer}.{name}"
+
+
+def test_span_attrs_read_what_the_library_returns():
+    """`tracing._attrs` counts the results of the functions it wraps; on
+    each round of a depth-2 synthesis they agree with the trace, the
+    states of the last lift included."""
+    tracing = load_bench_module("tracing")
+    arena = make_branching()
+    inst = FusInstance.make(arena, length_transducer(arena.positions),
+                            parse("F [R] G <R> !p"))
+    trace = synthesize_fully_uniform(inst).trace
+    g, t, phi = inst.arena, inst.transducer, inst.phi
+    for stats in trace[1:]:
+        power = powerset.build_power_arena(g, t)
+        assert tracing._attrs("powerset.build_power_arena", (g, t), {}, power) \
+            == {"positions": stats.arena_positions}
+        lifted = powerset.lift_transducer(t, power)
+        assert tracing._attrs("powerset.lift_transducer", (t, power), {}, lifted) \
+            == {"states": stats.transducer_states}
+        result = marker.eliminate_r(g, t, phi)
+        attrs = tracing._attrs("marker.eliminate_r", (g, t, phi), {}, result)
+        assert attrs["rdepth_after"] == stats.rdepth
+        assert attrs["marked"] >= 0
+        g, t, phi = result[:3]
 
 
 def test_ltl_to_dpa_hands_determinize_the_nba_it_built(monkeypatch):

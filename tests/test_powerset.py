@@ -1,11 +1,15 @@
 import itertools
+import pickle
+import subprocess
+import sys
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
-from conftest import (info_set_bruteforce, lift_play, make_branching, make_g0,
-                      play_projection_transducers, plays_up_to, random_arena,
-                      random_transducer)
+from conftest import (child_env, info_set_bruteforce, lift_play, make_branching,
+                      make_g0, play_projection_transducers, plays_up_to,
+                      random_arena, random_transducer)
 from test_acceptance import sampled_instances
 from unistrat.arena import Arena, covering_step
 from unistrat.errors import CapExceeded
@@ -137,6 +141,60 @@ def test_power_step_rejects_non_successor():
     first, = lift_play(power, ("v0",))
     with pytest.raises(ValueError):
         power_step(first, "v0", t, g0)
+
+
+def two_rounds():
+    """The power arenas of the length relation on the branching arena and
+    of its lift: round-2 positions hold round-1 positions."""
+    arena = make_branching()
+    t = restricted(length_transducer(arena.positions), arena)
+    power = build_power_arena(arena, t)
+    return power, build_power_arena(power.arena, lift_transducer(t, power))
+
+
+def test_power_position_text_pinned():
+    power, power2 = two_rounds()
+    assert str(lift_play(power, ("v0", "a"))[-1]) == \
+        "a|S={('a', 'q0', 'a'),('a', 'q0', 'b')}|I={a,b}"
+    assert str(lift_play(power2, lift_play(power, ("v0", "a")))[-1]) == \
+        "a|S={('a', 'q0', 'a'),('a', 'q0', 'b')}|I={a,b}" \
+        "|S={(1, ('a', 'q0', 'a'), 1),(1, ('a', 'q0', 'b'), 2)}" \
+        "|I={a|S={('a', 'q0', 'a'),('a', 'q0', 'b')}|I={a,b}," \
+        "b|S={('b', 'q0', 'a'),('b', 'q0', 'b')}|I={a,b}}"
+
+
+def test_power_positions_pickled_under_other_hash_seeds():
+    """String hashes differ between processes: positions of both rounds
+    pickled under another hash seed equal the ones built here, hash as
+    they do and find their dict entries."""
+    power, power2 = two_rounds()
+    local = power.arena.positions + power2.arena.positions
+    number = {p: i for i, p in enumerate(local)}
+    script = ("import pickle, sys\n"
+              "from test_powerset import two_rounds\n"
+              "power, power2 = two_rounds()\n"
+              "positions = power.arena.positions + power2.arena.positions\n"
+              "sys.stdout.buffer.write(pickle.dumps(positions))\n")
+    for seed in ("0", "77"):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=child_env(Path(__file__).parent, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        loaded = pickle.loads(proc.stdout)
+        assert loaded == local
+        assert [hash(p) for p in loaded] == [hash(p) for p in local]
+        assert [number[p] for p in loaded] == list(range(len(local)))
+
+
+def test_summaries_found_in_other_orders_are_equal():
+    """A relation listing its states and moves backwards makes the power
+    steps find every run in another order, yet gives equal positions."""
+    for arena, t in sampled_instances(11, 12):
+        backwards = Transducer(t.states[::-1], t.input_alphabet, t.output_alphabet,
+                               t.initial, t.accepting, t.transitions[::-1])
+        want = build_power_arena(arena, t).arena.positions
+        got = build_power_arena(arena, backwards).arena.positions
+        assert got == want
+        assert [hash(p) for p in got] == [hash(p) for p in want]
 
 
 def test_build_power_arena_identity_isomorphic():

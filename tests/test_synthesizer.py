@@ -376,3 +376,38 @@ def test_elimination_never_composes_transducers(monkeypatch):
         assert all(s.transducer_states > 0 for s in result.trace)
         assert check_uniform(inst, result.strategy, "full").ok
         assert check_uniform(inst, result.strategy, "strict").ok == strict_ok
+
+
+def test_trace_counts_each_relation_when_read(monkeypatch):
+    """Synthesis explores no view only to fill its trace: a depth-1
+    synthesis asks no view for moves, a depth-2 one asks only the round-1
+    view, over which round 2 builds its power arena.  Reading the trace
+    counts every round's relation, once."""
+    views = []
+    transitions_from = LiftedRelation.transitions_from
+
+    def counted(view, state):
+        views.append(view)
+        return transitions_from(view, state)
+
+    monkeypatch.setattr(LiftedRelation, "transitions_from", counted)
+    g0 = make_g0()
+    arena = make_branching()
+    cases = [
+        (FusInstance.make(g0, identity_transducer(g0.positions), parse("[R] X [R] q")),
+         [(2, 3, 2), (2, 3, 1), (2, 3, 0)]),
+        (FusInstance.make(arena, length_transducer(arena.positions),
+                          parse("F [R] G <R> !p")),
+         [(5, 10, 2), (5, 10, 1), (5, 10, 0)]),
+        (encode_diagnosability(parse_des(CONFUSABLE)).instance, [(9, 76, 1), (11, 80, 0)]),
+    ]
+    for inst, want in cases:
+        views.clear()
+        result = synthesize_fully_uniform(inst)
+        assert bool(views) == (r_depth(inst.phi) == 2)
+        assert all(view.t is inst.transducer for view in views)
+        sizes = [(s.arena_positions, s.transducer_states, s.rdepth) for s in result.trace]
+        assert sizes == want
+        views.clear()
+        assert [s.transducer_states for s in result.trace] == [n for _, n, _ in want]
+        assert not views
