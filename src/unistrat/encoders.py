@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .arena import Arena, Strategy, _tokens, validate
 from .errors import EncodingError, InputFormatError
-from .formula import parse as parse_formula
+from .formula import MAX_DEPTH, parse as parse_formula
 from .graph import reachable
 from .synthesizer import FusInstance
 from .transducer import (EPSILON, Transducer, build_morphism_equivalence,
@@ -722,7 +722,24 @@ class _DlParser:
 
 
 def parse_dl_sentence(text: str) -> DlNode:
-    return _DlParser(text).parse()
+    """Parse a sentence.  Text nested too deeply for the recursive parser,
+    or a sentence tree more than MAX_DEPTH levels deep, is rejected: the
+    passes over the tree recurse once per level."""
+    try:
+        sentence = _DlParser(text).parse()
+    except RecursionError:
+        raise InputFormatError("sentence nested too deeply") from None
+    height, stack = 0, [(sentence, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        if isinstance(node, DlQuant):
+            stack.append((node.sub, level + 1))
+        elif isinstance(node, DlBin):
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+    if height > MAX_DEPTH:
+        raise InputFormatError(f"sentence nested deeper than {MAX_DEPTH} levels")
+    return sentence
 
 
 def parse_dlgame(text: str) -> tuple:

@@ -332,30 +332,6 @@ def ltl_to_nba(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> BuchiAu
 # ---------------------------------------------------------------------------
 # Determinization (Safra/Piterman compact trees, parity output)
 
-_EMPTY_TREE = ("empty",)
-
-
-def _encode_tree(nodes, root):
-    def enc(v):
-        label, children = nodes[v]
-        return (v, tuple(sorted(label, key=str)), tuple(enc(c) for c in children))
-    return enc(root)
-
-
-def _decode_tree(enc):
-    nodes = {}
-
-    def dec(e):
-        name, label, children = e
-        nodes[name] = [set(label), [c[0] for c in children]]
-        for c in children:
-            dec(c)
-        return name
-
-    root = dec(enc)
-    return nodes, root
-
-
 class ParityAutomaton:
     """Deterministic parity (min-even) word automaton over letter sets;
     `construction` names the construction that built it."""
@@ -397,104 +373,60 @@ class ParityAutomaton:
 def determinize(nba: BuchiAutomaton, caps: Caps = DEFAULT_CAPS) -> ParityAutomaton:
     """Safra/Piterman construction: compact ordered trees of state sets.
 
-    Node names are kept compact (1..m, ordered by age); a transition's
-    priority is the most significant event it produced: a node named i
-    turning green (all members re-confirmed accepting since its creation)
-    gives 2i, the death of node i gives 2i - 1, and a quiet step gives the
-    neutral odd value 2n + 1.  The priority is attached to the target state.
-    States are numbered 0..n-1 in breadth-first order, the initial one 0.
+    A tree is a flat tuple with one (parent name, frozenset of NBA states)
+    pair per node: node i sits at index i - 1, the root is node 1 with
+    parent 0, and the empty tree is ().  Names are compact and ordered by
+    age, so a parent comes before its children and siblings come oldest
+    first: the tuple is a canonical key, and each pass over a tree is a
+    loop over names.  A transition's priority is the most significant
+    event it produced: a node named i turning green (all members
+    re-confirmed accepting since its creation) gives 2i, the death of node
+    i gives 2i - 1, and a quiet step gives the neutral odd value 2n + 1.
+    The priority is attached to the target state.  States are numbered
+    0..n-1 in breadth-first order, the initial one 0.
     """
-    n = len(nba.states)
-    neutral = 2 * n + 1
+    neutral = 2 * len(nba.states) + 1
 
-    def delta_set(states, letter):
-        out = set()
-        for q in states:
-            out |= nba.transitions[(q, letter)]
-        return out
-
-    def tree_step(enc, letter):
-        if enc == _EMPTY_TREE:
-            return _EMPTY_TREE, neutral
-        nodes, root = _decode_tree(enc)
-        next_name = max(nodes) + 1
-        deaths, greens = [], []
-
-        # branch: spawn a youngest child holding the accepting part
-        for v in sorted(nodes):
-            fpart = nodes[v][0] & set(nba.accepting)
-            if fpart:
-                nodes[next_name] = [set(fpart), []]
-                nodes[v][1].append(next_name)
-                next_name += 1
-
+    def tree_step(tree, letter):
+        if not tree:
+            return (), neutral
+        parent = [0] + [p for p, _ in tree]
+        label = [frozenset()] + [states for _, states in tree]
+        # branch: every node spawns a youngest child holding its accepting part
+        for i in range(1, len(tree) + 1):
+            accepting = label[i] & nba.accepting
+            if accepting:
+                parent.append(i)
+                label.append(accepting)
         # subset move
-        for v in nodes:
-            nodes[v][0] = delta_set(nodes[v][0], letter)
+        for i in range(1, len(label)):
+            label[i] = frozenset().union(*(nba.transitions[(q, letter)] for q in label[i]))
+        if not label[1]:
+            return (), 1   # the root dies
+        # horizontal merge: a state stays only in the oldest sibling holding
+        # it; labels are nested, so meeting the parent's merged label drops
+        # what the ancestors' older siblings claimed
+        claimed = [frozenset()] * len(label)
+        for i in range(2, len(label)):
+            p = parent[i]
+            label[i] = (label[i] & label[p]) - claimed[p]
+            claimed[p] |= label[i]
+        # vertical merge: a nonempty node whose children's labels (its claimed
+        # set) cover it turns green and its descendants die, as do empty
+        # nodes; the survivors get compact names in age order
+        green = [bool(label[i]) and claimed[i] == label[i] for i in range(len(label))]
+        events = [2 * i for i in range(1, len(label)) if green[i]]
+        rename = [0] * len(label)
+        out = []
+        for i in range(1, len(label)):
+            p = parent[i]
+            if label[i] and (p == 0 or rename[p] and not green[p]):
+                out.append((rename[p], label[i]))
+                rename[i] = len(out)
+            else:
+                events.append(2 * i - 1)
+        return tuple(out), min(events, default=neutral)
 
-        # horizontal merge: a state stays only in the oldest sibling subtree
-        def subtree_remove(v, claimed):
-            nodes[v][0] -= claimed
-            for c in nodes[v][1]:
-                subtree_remove(c, claimed)
-
-        def hmerge(v):
-            claimed = set()
-            for c in nodes[v][1]:
-                subtree_remove(c, claimed)
-                claimed |= nodes[c][0]
-            for c in nodes[v][1]:
-                hmerge(c)
-
-        hmerge(root)
-
-        # remove empty nodes, then vertical merge (children cover the parent)
-        def all_descendants(v):
-            out = []
-            for c in nodes[v][1]:
-                out.append(c)
-                out.extend(all_descendants(c))
-            return out
-
-        def visit(v):
-            for c in list(nodes[v][1]):
-                visit(c)
-            kept = []
-            for c in nodes[v][1]:
-                if nodes[c][0]:
-                    kept.append(c)
-                else:
-                    deaths.append(c)
-                    del nodes[c]
-            nodes[v][1] = kept
-            if kept:
-                covered = set()
-                for c in kept:
-                    covered |= nodes[c][0]
-                if covered == nodes[v][0]:
-                    greens.append(v)
-                    for d in all_descendants(v):
-                        deaths.append(d)
-                        del nodes[d]
-                    nodes[v][1] = []
-
-        if not nodes[root][0]:
-            return _EMPTY_TREE, 2 * 1 - 1
-        visit(root)
-
-        events = [2 * v for v in greens] + [2 * v - 1 for v in deaths]
-        pri = min(events) if events else neutral
-
-        # compact renaming preserving age order
-        rename = {old: i + 1 for i, old in enumerate(sorted(nodes))}
-        renamed = {rename[v]: (frozenset(lbl), tuple(rename[c] for c in ch))
-                   for v, (lbl, ch) in nodes.items()}
-        return _encode_tree(renamed, rename[root]), pri
-
-    if nba.initial:
-        tree0 = _encode_tree({1: (frozenset(nba.initial), ())}, 1)
-    else:
-        tree0 = _EMPTY_TREE
     tree_cache = {}
 
     def successors(state):
@@ -507,6 +439,7 @@ def determinize(nba: BuchiAutomaton, caps: Caps = DEFAULT_CAPS) -> ParityAutomat
         return out
 
     # a state is a (tree, priority) pair
+    tree0 = ((0, frozenset(nba.initial)),) if nba.initial else ()
     states, succ, _ = reachable([(tree0, neutral)], successors, caps.dpa_states,
                                 "parity automaton states")
     return _numbered(nba.ap, nba.letters, states, succ)

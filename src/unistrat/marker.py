@@ -21,7 +21,6 @@ import copy
 from collections import deque
 
 from .arena import Arena
-from .errors import NameCollisionError
 from .formula import (Formula, Next, Not, atoms, depth1_r_subformulas,
                       format_formula, fresh_atom_name, holds, is_state_formula,
                       muller_condition, r_depth, substitute)
@@ -202,29 +201,39 @@ def _reject_all(hit) -> bool:
     return False
 
 
-def _method(psi: Formula) -> str:
-    """How `_failing_positions` decides psi: "state" for a state formula,
-    "next" for X of one, "muller" for a Boolean combination of G F s and
-    F G s (`muller_condition`), "automaton" for any other body."""
+def _shape(psi: Formula) -> tuple:
+    """How `_failing_positions` decides psi, with the Muller condition when
+    there is one: "state" for a state formula, "next" for X of one,
+    "muller" for a Boolean combination of G F s and F G s
+    (`muller_condition`), "automaton" for any other body."""
     if is_state_formula(psi):
-        return "state"
+        return "state", None
     if isinstance(psi, Next) and is_state_formula(psi.sub):
-        return "next"
-    if muller_condition(psi) is not None:
-        return "muller"
-    return "automaton"
+        return "next", None
+    condition = muller_condition(psi)
+    return ("automaton" if condition is None else "muller"), condition
+
+
+def _method(psi: Formula) -> str:
+    """The first half of `_shape`: how psi is decided."""
+    return _shape(psi)[0]
 
 
 def _failing_positions(arena: Arena, psi: Formula, sources, caps: Caps) -> set:
     """The positions among the distinct sources with an infinite trace that
-    violates psi.
+    violates psi."""
+    return _failing_shaped(arena, psi, _shape(psi), sources, caps)
+
+
+def _failing_shaped(arena: Arena, psi: Formula, shape, sources, caps: Caps) -> set:
+    """`_failing_positions` for psi of the given `_shape`.
 
     A state formula fails where it is false and an infinite trace starts;
     X s fails where a successor does so for s; a Muller body fails where a
     trace reaches a cycle whose recurrences it rejects.  Only other bodies
     build a Buchi automaton for not psi and its product with the arena.
     """
-    method = _method(psi)
+    method, condition = shape
     if method == "state":
         seeds = [u for u in sources if not holds(psi, arena.labels[u])]
         return _rejecting_seeds(arena, seeds, [], _reject_all, caps)
@@ -234,7 +243,7 @@ def _failing_positions(arena: Arena, psi: Formula, sources, caps: Caps) -> set:
         bad = _rejecting_seeds(arena, seeds, [], _reject_all, caps)
         return {u for u in sources if not bad.isdisjoint(arena.successors(u))}
     if method == "muller":
-        recs, accepts = muller_condition(psi)
+        recs, accepts = condition
         return _rejecting_seeds(arena, sources, recs, accepts, caps)
     return _failing_positions_nba(arena, psi, sources, caps)
 
@@ -272,12 +281,11 @@ def eliminate_r(arena: Arena, t, phi: Formula, caps: Caps = DEFAULT_CAPS):
     sources = [u for u in arena.positions if u in held]
     for index, r_sub in enumerate(targets):
         name = fresh_atom_name(index, r_sub.sub, used)
-        if name in used:
-            raise NameCollisionError(f"fresh proposition {name!r} is already in use")
         used.add(name)
         atom_sources[name] = r_sub
-        methods[name] = _method(r_sub.sub)
-        failing = _failing_positions(arena, r_sub.sub, sources, caps)
+        shape = _shape(r_sub.sub)
+        methods[name] = shape[0]
+        failing = _failing_shaped(arena, r_sub.sub, shape, sources, caps)
         marked = []
         for p in power.arena.positions:
             if failing.isdisjoint(p.info):

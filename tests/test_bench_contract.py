@@ -10,6 +10,7 @@ change it) to catch that here.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 from conftest import make_branching
@@ -24,7 +25,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 def load_bench_module(name):
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
+    # registered, so that the dataclasses of workloads.py can find their module
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
@@ -79,3 +81,21 @@ def test_ltl_to_dpa_hands_determinize_the_nba_it_built(monkeypatch):
     assert dpa.construction == "safra"
     assert len(built) == 1 and len(given) == 1
     assert given[0] is built[0]
+
+
+def test_safra_result_survives_the_automata_cache(tmp_path):
+    """`reused_automata` pickles each DPA it builds and loads it back on a
+    later run; a Safra result must come back with the same tables."""
+    workloads = load_bench_module("workloads")
+    assert workloads.AUTOMATA_DIR.is_relative_to(BENCH / "out")
+    workloads.AUTOMATA_DIR = tmp_path   # this module object only; bench/ is not written
+    psi = parse("F p -> F q")
+    with workloads.reused_automata():
+        built = ltlgame.ltl_to_dpa(psi)
+    assert built.construction == "safra" and len(list(tmp_path.iterdir())) == 1
+    workloads._dpas.clear()
+    with workloads.reused_automata():
+        loaded = ltlgame.ltl_to_dpa(psi)
+    assert loaded is not built
+    for name in ("states", "initial", "delta", "priority", "construction"):
+        assert getattr(loaded, name) == getattr(built, name), name

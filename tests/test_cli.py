@@ -268,6 +268,24 @@ dom 0,1
     assert open(prefix + ".win.formula").read().strip() == "F win1"
 
 
+@pytest.mark.parametrize("sentence, code", [
+    ("forall x " + "(" * 300 + "x = x" + ")" * 300, 2),
+    ("forall x (" + " & ".join(["x = x"] * 1000) + ")", 2),
+    ("forall x " + "(" * 150 + "x = x" + ")" * 150, 0),
+    ("forall x (" + " & ".join(["x = x"] * 50) + ")", 0),
+], ids=["300-parentheses", "1000-conjuncts", "150-parentheses", "50-conjuncts"])
+def test_encode_dlgame_deep_sentence_exit_codes(tmp_path, sentence, code):
+    # too deep a sentence is malformed input (exit 2), never a crash (exit 1)
+    dl = tmp_path / "deep.dl"
+    dl.write_text(f"dlgame\nsentence {sentence}\ndom 0,1\n")
+    proc = subprocess.run([sys.executable, "-m", "unistrat.cli", "encode", "dlgame", str(dl),
+                           "--out-prefix", str(tmp_path / "dl")],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == code, proc.stderr[-300:]
+    if code == 2:
+        assert proc.stderr.count("\n") == 1 and "nested" in proc.stderr
+
+
 def test_dump_powerset_deterministic(g0_files, capsys):
     arena, fst = g0_files
     outputs = []

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -548,6 +549,45 @@ def test_determinize_live_nba_sizes(rng):
         assert_dpas_agree(determinize(ltl_to_nba(f)), ltl_to_dpa(f), f, oracle_stem=1)
     for text, states in (("F pf -> F @R0", 12), ("(!pf) W (!pf & rn)", 11)):
         assert len(determinize(ltl_to_nba(parse(text)))) == states
+
+
+def tables_digest(dpa):
+    """sha256 prefix of a parity automaton's tables, letters as sorted
+    tuples, so it does not depend on PYTHONHASHSEED."""
+    rows = sorted((q, tuple(sorted(letter)), target)
+                  for (q, letter), target in dpa.delta.items())
+    text = repr((dpa.initial, rows, sorted(dpa.priority.items())))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("text, states, digest", [
+    ("F p -> F q", 12, "447d1d7200e79e30"),
+    ("F pf -> F @R0", 12, "4affa7881721c444"),
+    ("G F p & F G q", 11, "cba10b2a179f4c14"),
+    ("F G p | G F q", 39, "9772d7f5c0ef4cbd"),
+    ("(p U q) | G F r", 25, "5015859b493df0ef"),
+    ("G(p -> F q) & F G r", 15, "23a0c93ff3298324"),
+    ("G F p & G F q & F G r", 20, "761e1ead7deed360"),
+    ("G p", 4, "55c0d4e3366f32a2"),
+    ("F G p & X q", 10, "e1c246110a7c10f3"),
+    ("(p U (q U r)) | G F p", 39, "698d3a87f9bb8807"),
+])
+def test_determinize_tables_pinned(text, states, digest):
+    # Safra's states, initial state, transitions and priorities, recorded
+    # once; a rewrite of the construction must reproduce them exactly
+    dpa = determinize(ltl_to_nba(parse(text)))
+    assert dpa.construction == "safra"
+    assert len(dpa) == states
+    assert tables_digest(dpa) == digest
+
+
+def test_determinize_empty_tree():
+    # no NBA state: the empty tree, one state whose odd priority rejects
+    dpa = determinize(ltl_to_nba(parse("false")))
+    assert len(dpa) == 1 and dpa.priority[dpa.initial] % 2 == 1
+    assert all(dpa.delta[(dpa.initial, letter)] == dpa.initial for letter in dpa.letters)
+    for stem, cycle in (([], [frozenset()]), ([frozenset()], [frozenset(), frozenset()])):
+        assert not dpa.accepts_lasso(stem, cycle)
 
 
 def reaches_accepting(nba):

@@ -5,7 +5,7 @@ import pytest
 from conftest import lassos_of, lift_play, make_branching, make_g0, random_arena
 from unistrat.arena import Arena
 from unistrat.errors import CapExceeded
-from unistrat.formula import Atom, R, format_formula, parse, r_depth
+from unistrat.formula import Atom, R, format_formula, muller_condition, parse, r_depth
 from unistrat.ltlgame import Caps, ltl_to_nba
 from unistrat import marker
 from unistrat.marker import (eliminate_r, format_marking_report,
@@ -182,6 +182,22 @@ def test_shaped_bodies_skip_the_automaton(monkeypatch):
         eliminate_r(arena, t, parse(text))
     assert calls == []
     eliminate_r(arena, t, parse("[R](p U q)"))
+    assert len(calls) == 1
+
+
+def test_muller_body_shape_worked_out_once(monkeypatch):
+    # one walk gives both the report's method and the decision
+    calls = []
+
+    def counted(psi):
+        calls.append(psi)
+        return muller_condition(psi)
+
+    monkeypatch.setattr(marker, "muller_condition", counted)
+    arena = make_branching()
+    t = restricted(identity_transducer(arena.positions), arena)
+    _, _, _, report = eliminate_r(arena, t, parse("[R](G F p & G F q)"))
+    assert list(report.methods.values()) == ["muller"]
     assert len(calls) == 1
 
 
