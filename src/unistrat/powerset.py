@@ -1,19 +1,19 @@
-"""Knowledge construction: powerset arenas over transducer configurations.
+"""Knowledge construction: powerset arenas over relation states.
 
 A power position pairs an arena position with a summary of every run the
-relation transducer may be in after the play so far: the set of pairs
-(state, last outputs), one per reachable state, where the last outputs
-are the positions that can currently sit at the end of the output tape.
-The local information set of a power position is the union of last
-outputs over accepting states; it equals the set of endpoints of related
-plays.
+relation may be in after the play so far: the set of states those runs
+reach.  Each relation the construction reads records its last written
+symbol in its state (`written`), so the local information set of a power
+position is what its accepting states wrote; it equals the set of
+endpoints of related plays.
 
 The construction is reachable-only and hash-conses power positions, so the
 astronomically large full space is never materialized.  A relation is read
-only through `initial`, `accepting` and `transitions_from`, so the same
-code runs on a `Transducer` and on the `LiftedRelation` view that carries
-it over to the plays of a covering arena: the power arena, for the next
-round, or the outcome arena of a strategy, in strict checking.
+only through `initial`, `accepting`, `transitions_from` and `written`, so
+the same code runs on a play-restricted `Transducer` and on the
+`LiftedRelation` view that carries it over to the plays of a covering
+arena: the power arena, for the next round, or the outcome arena of a
+strategy, in strict checking.
 """
 
 from __future__ import annotations
@@ -33,30 +33,20 @@ __all__ = [
 
 
 class PowerPosition(NamedTuple):
-    """(underlying position, set of (state, last outputs) pairs, info).
+    """(underlying position, set of relation states, info).
 
-    `last` is a frozenset holding one pair (state, frozenset of positions)
-    per reachable state, so equal summaries are equal sets whatever the
-    order they were found in.  `info` is the derived local information
-    set: a function of `last` and the relation's accepting states, so
-    positions of one power arena are equal iff their (v, last) are.  As a
-    tuple, a position hashes and compares in C over the frozensets' cached
-    hashes, and a loaded pickle hashes afresh.
+    `states` is the frozenset of states the relation may be in after the
+    play so far, so equal summaries are equal sets whatever the order they
+    were found in.  `info` is the derived local information set: the
+    symbols its accepting states wrote last, a function of `states`, so
+    positions of one power arena are equal iff their (v, states) are.  As
+    a tuple, a position hashes and compares in C over the frozensets'
+    cached hashes, and a loaded pickle hashes afresh.
     """
 
     v: object
-    last: frozenset
+    states: frozenset
     info: frozenset
-
-    @property
-    def states(self) -> frozenset:
-        return frozenset(q for q, _ in self.last)
-
-    def last_of(self, q) -> frozenset:
-        for state, outs in self.last:
-            if state == q:
-                return outs
-        raise KeyError(q)
 
     def __str__(self):
         states = ",".join(str(q) for q in sorted(self.states, key=str))
@@ -64,49 +54,41 @@ class PowerPosition(NamedTuple):
         return f"{self.v}|S={{{states}}}|I={{{info}}}"
 
 
-def power_step(current: PowerPosition | None, next_v, t: Transducer,
-               arena: Arena) -> PowerPosition:
+def _close(states: set, moves) -> set:
+    """Add to `states` every state reached from it by epsilon-input moves."""
+    stack = list(states)
+    while stack:
+        for a, _, q2 in moves(stack.pop()):
+            if a is EPSILON and q2 not in states:
+                states.add(q2)
+                stack.append(q2)
+    return states
+
+
+def power_step(current: PowerPosition | None, next_v,
+               t: Transducer | LiftedRelation, arena: Arena) -> PowerPosition:
     """Deterministic successor summary after the play advances to next_v.
 
     next_v must be an arena successor of the current underlying position;
     current=None starts a play, and next_v must then be the initial
-    position.  Runs are explored by one closure per step over
-    configurations (state, consumed, last): `last` is the run's own last
-    output as a 1-tuple once it has written one, and until then the
-    frozenset of last outputs its source state bequeaths.  Equal
-    configurations have equal futures, so one visited set serves every
-    source state and makes epsilon-output cycles terminate.
+    position.  t is a play-restricted `Transducer` or a `LiftedRelation`.
+    A step reads next_v from each state of the summary, then closes the
+    states reached under epsilon-input moves.  A summary is closed already,
+    so only the first step closes `t.initial` before its read.
     """
+    moves = t.transitions_from
     if current is None:
         if next_v != arena.initial:
             raise ValueError(f"{next_v!r} is not the initial position")
-        stack = [(t.initial, False, frozenset())]
+        sources = _close({t.initial}, moves)
     elif next_v not in arena.successors(current.v):
         raise ValueError(f"{next_v!r} is not an arena successor of {current.v!r}")
     else:
-        stack = [(q, False, outs) for q, outs in current.last]
-
-    moves = t.transitions_from
-    new_last: dict = {}
-    seen = set(stack)
-    while stack:
-        state, consumed, last = stack.pop()
-        if consumed:
-            new_last.setdefault(state, set()).update(last)
-        for a, b, state2 in moves(state):
-            if a is EPSILON:
-                consumed2 = consumed
-            elif not consumed and a == next_v:
-                consumed2 = True
-            else:
-                continue
-            conf = (state2, consumed2, last if b is EPSILON else (b,))
-            if conf not in seen:
-                seen.add(conf)
-                stack.append(conf)
-    info = frozenset().union(*(outs for q, outs in new_last.items() if q in t.accepting))
-    return PowerPosition(next_v, frozenset((q, frozenset(outs))
-                                           for q, outs in new_last.items()), info)
+        sources = current.states
+    states = _close({q2 for q in sources for a, _, q2 in moves(q) if a == next_v},
+                    moves)
+    info = frozenset(t.written(q) for q in states if q in t.accepting)
+    return PowerPosition(next_v, frozenset(states), info)
 
 
 @dataclass(frozen=True)
@@ -123,12 +105,14 @@ class PowerArena:
     arena: Arena
 
 
-def build_power_arena(arena: Arena, t: Transducer, cap: int = 10 ** 6) -> PowerArena:
+def build_power_arena(arena: Arena, t: Transducer | LiftedRelation,
+                      cap: int = 10 ** 6) -> PowerArena:
     """Reachable fragment of the powerset arena for (arena, t), seeded with
     the summary after the initial position.
 
-    The relation of t must already be restricted to pairs of plays.
-    Raises CapExceeded when more than `cap` power positions are reached.
+    The relation of t must already be restricted to pairs of plays, with
+    states that record their last write, as `restrict_to_plays` and
+    `lift_transducer` make them.  Raises CapExceeded when more than `cap` power positions are reached.
     """
     def successors(p):
         return [power_step(p, v2, t, arena) for v2 in arena.successors(p.v)]
@@ -172,9 +156,10 @@ class LiftedRelation:
     a state q of t with the numbers, in `covering.positions`, of the last
     covering position read (d) and written (u); -1 stands for before the
     first.  The view offers what the power construction reads of a
-    relation: `initial`, `accepting` and `transitions_from`.  Each state's
-    moves are computed when `transitions_from` first asks for them; `len`
-    explores every reachable state once and remembers the count.
+    relation: `initial`, `accepting`, `transitions_from` and `written`.
+    Each state's moves are computed when `transitions_from` first asks for
+    them; `len` explores every reachable state once and remembers the
+    count.
 
     Over a covering with a successor for every plain successor, as the
     power arena has, the view is trim whenever t is trimmed and restricted
@@ -224,6 +209,11 @@ class LiftedRelation:
                         EPSILON if b is EPSILON else positions[u2], (d2, q2, u2)))
         moves = self._moves[state] = tuple(out)
         return moves
+
+    def written(self, state):
+        """The covering position the state last wrote; the state must
+        have written one, as accepting states have."""
+        return self.covering.positions[state[2]]
 
     def _targets(self, state):
         return [s2 for _, _, s2 in self.transitions_from(state)]

@@ -34,11 +34,13 @@ __all__ = [
 class FusInstance:
     """One uniform-strategy problem: arena, play relation, formula, player.
 
-    The stored transducer must relate pairs of plays only, as `make` makes
+    The stored transducer must relate pairs of plays only, and its states
+    must record their last write (`Transducer.written`), as `make` makes
     it: `make` rejects a malformed arena with its first `arena.validate`
     diagnostic and a transducer symbol that is not a position, then
-    restricts the relation to plays with `restrict_to_plays`.  Calling the
-    constructor directly trusts the transducer as given.
+    restricts the relation to plays with `restrict_to_plays`, whose states
+    are (last read, state, last written).  Calling the constructor
+    directly trusts the transducer as given.
     """
 
     arena: Arena

@@ -54,6 +54,12 @@ class Transducer:
     def transitions_from(self, q):
         return self._from[q]
 
+    def written(self, q):
+        """The symbol last written on the way to q (None before the first
+        write), for a state that records it as `restrict_to_plays` makes
+        them: (last read, state, last written), which `trim` keeps."""
+        return q[2]
+
     def __len__(self):
         return len(self.states)
 

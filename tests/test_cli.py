@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -478,8 +479,8 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
     fixed.write_text(format_strategy(Strategy(
         1, "m", {("m", v): "m" for v in make_branching().positions},
         {("m", "v0"): "a", ("m", "x"): "a", ("m", "y"): "b"})))
-    # power positions are sets of runs: summaries of the diagnosability
-    # encoding hold several states with several last outputs each
+    # power positions are sets of relation states: summaries of the
+    # diagnosability encoding hold several states, each with its last write
     des = tmp_path / "m.des"
     des.write_text(DES_CONFUSABLE)
     diag = str(tmp_path / "diag")
@@ -492,6 +493,7 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
         "diag powerset": ["powerset", diag + ".arena", diag + ".fst"],
         "diag marking": ["marking", diag + ".arena", diag + ".fst", "[R] pf"],
         "length powerset": ["powerset", str(branching), str(length)],
+        "identity powerset": ["powerset", str(arena), str(fst)],
         "muller marking": ["marking", str(arena), str(fst), "[R] G F p"],
     }
     dump_stdouts = {name: set() for name in dumps}
@@ -550,3 +552,9 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
     assert len(deep_strategies) == 1
     assert len(full_checks) == 1
     assert all(len(outs) == 1 for outs in dump_stdouts.values())
+    # power arena text, pinned: positions, order, states and information sets
+    digests = {name: hashlib.sha256(outs.pop().encode()).hexdigest()[:16]
+               for name, outs in dump_stdouts.items() if name.endswith("powerset")}
+    assert digests == {"diag powerset": "c8a074b49c39c252",
+                       "length powerset": "54a7be571af531a2",
+                       "identity powerset": "9c21b83bc79e0bb5"}

@@ -545,9 +545,11 @@ def _filter(arena, accept, name):
 
 def _composed_des_relation(arena, h, target):
     """Play-restricted morphism equivalence, composed with a filter on the
-    written word's last position."""
+    written word's last position, and restricted again so that its states
+    record their last write."""
     t = restrict_to_plays(build_morphism_equivalence(arena, h), arena)
-    return trim(compose(t, _filter(arena, target.__contains__, "ends-in")))
+    return restrict_to_plays(compose(t, _filter(arena, target.__contains__, "ends-in")),
+                             arena)
 
 
 def _composed_shift_relation(arena, blocks):

@@ -25,8 +25,9 @@ def restricted(t, arena):
 
 
 def runs_to(t, rho):
-    """All (state, last output) pairs over accepting runs reading rho,
-    enumerated over transition paths with on-path configuration pruning."""
+    """All (state, last output) pairs over runs reading rho, the last
+    output None before the first write, enumerated over transition paths
+    with on-path configuration pruning."""
     rho = tuple(rho)
     results = set()
 
@@ -57,8 +58,7 @@ def test_power_step_identity_from_start():
     first, = lift_play(power, ("v0",))
     assert first.v == "v0"
     assert first.info == frozenset({"v0"})
-    for q, outs in first.last:
-        assert set(outs) <= {"v0"}
+    assert {t.written(q) for q in first.states} <= {None, "v0"}
 
 
 def test_power_step_length_tracks_both_branches():
@@ -72,7 +72,7 @@ def test_power_step_length_tracks_both_branches():
     other = lift_play(power, ("v0", "b"))[-1]
 
     def output_summary(p):
-        return {(q[1], q[2], o) for q, outs in p.last for o in outs}
+        return {(q[1], t.written(q)) for q in p.states}
 
     assert output_summary(second) == output_summary(other)
     assert second.info == other.info
@@ -80,49 +80,72 @@ def test_power_step_length_tracks_both_branches():
 
 def test_power_step_epsilon_output_loop_terminates_and_inherits():
     # q0 reads anything writing nothing and can then spin writing "x" on
-    # epsilon input; last outputs must include inherited entries
+    # epsilon input, which x's self-loop keeps a play: the closure must
+    # terminate, and a state that reads y writing nothing keeps x written
     arena = Arena(["x", "y"], {"x": 1, "y": 2},
-                  [("x", "y"), ("y", "x")], "x", {})
-    t = Transducer(["q0", "q1"], frozenset(arena.positions), frozenset(arena.positions),
-                   "q0", ["q0", "q1"],
-                   [("q0", "x", "x", "q0"), ("q0", "y", EPSILON, "q0"),
-                    ("q0", EPSILON, "x", "q1"), ("q1", EPSILON, "x", "q1")])
+                  [("x", "x"), ("x", "y"), ("y", "x")], "x", {})
+    raw = Transducer(["q0", "q1"], frozenset(arena.positions),
+                     frozenset(arena.positions), "q0", ["q0", "q1"],
+                     [("q0", "x", "x", "q0"), ("q0", "y", EPSILON, "q0"),
+                      ("q0", EPSILON, "x", "q1"), ("q1", EPSILON, "x", "q1")])
+    t = restricted(raw, arena)
+    assert any(q == q2 and b is not EPSILON for q, _, b, q2 in t.transitions)
     first = power_step(None, "x", t, arena)
     second = power_step(first, "y", t, arena)
-    # reading y writes nothing: q0 inherits last output x
-    assert ("q0" in second.states)
-    assert second.last_of("q0") == frozenset({"x"})
-    want = runs_to(t, ("x", "y"))
-    got = {(q, o) for q, outs in second.last for o in outs}
-    got |= {(q, None) for q in second.states
-            if not second.last_of(q)}
-    assert {q for q, _ in want} == set(second.states)
-    assert {(q, o) for q, o in want if o is not None} == \
-        {(q, o) for q, outs in second.last for o in outs}
+    assert ("y", "q0", "x") in second.states
+    runs = runs_to(t, ("x", "y"))
+    assert {(q, t.written(q)) for q in second.states} == runs
+    assert second.info == {o for q, o in runs if q in t.accepting} == {"x"}
 
 
 def test_power_step_keeps_inherited_outputs_apart():
-    # after reading x, a has written x and b has written y; reading y,
-    # both carry their own output unwritten (to a2, b2 and d) and both
-    # write z on epsilon input into the same configuration of c
+    # after reading x, a has written x and b has written x then y; reading
+    # y, both carry their own output unwritten (to a2, b2 and d) and both
+    # write z on epsilon input into the same state of c
     arena = Arena(["x", "y", "z"], {"x": 1, "y": 2, "z": 1},
-                  [("x", "y"), ("y", "x"), ("y", "z"), ("z", "y")], "x", {})
-    states = ["s", "a", "b", "a2", "b2", "c", "d"]
-    t = Transducer(states, frozenset(arena.positions), frozenset(arena.positions),
-                   "s", states,
-                   [("s", "x", "x", "a"), ("s", "x", "y", "b"),
-                    ("a", "y", EPSILON, "a2"), ("b", "y", EPSILON, "b2"),
-                    ("a2", EPSILON, EPSILON, "d"), ("b2", EPSILON, EPSILON, "d"),
-                    ("a2", EPSILON, "z", "c"), ("b2", EPSILON, "z", "c")])
+                  [("x", "y"), ("x", "z"), ("y", "x"), ("y", "z"), ("z", "y")],
+                  "x", {})
+    states = ["s", "s1", "a", "b", "a2", "b2", "c", "d"]
+    raw = Transducer(states, frozenset(arena.positions), frozenset(arena.positions),
+                     "s", states,
+                     [("s", "x", "x", "a"), ("s", "x", "x", "s1"),
+                      ("s1", EPSILON, "y", "b"),
+                      ("a", "y", EPSILON, "a2"), ("b", "y", EPSILON, "b2"),
+                      ("a2", EPSILON, EPSILON, "d"), ("b2", EPSILON, EPSILON, "d"),
+                      ("a2", EPSILON, "z", "c"), ("b2", EPSILON, "z", "c")])
+    t = restricted(raw, arena)
     second = power_step(power_step(None, "x", t, arena), "y", t, arena)
     runs = runs_to(t, ("x", "y"))
-    assert second.states == {q for q, _ in runs} == {"a2", "b2", "c", "d"}
-    for q in second.states:
-        assert second.last_of(q) == {o for q2, o in runs if q2 == q}
-    assert second.last_of("a2") == {"x"}
-    assert second.last_of("b2") == {"y"}
-    assert second.last_of("d") == {"x", "y"}
-    assert second.last_of("c") == {"z"}
+    assert second.states == {q for q, _ in runs}
+    assert {(q, t.written(q)) for q in second.states} == runs
+    assert {(q[1], t.written(q)) for q in second.states} == {
+        ("a2", "x"), ("b2", "y"), ("d", "x"), ("d", "y"), ("c", "z")}
+    assert len([q for q in second.states if q[1] == "c"]) == 1
+    assert second.info == {"x", "y", "z"}
+
+
+def test_written_matches_run_enumeration():
+    # every run to a state last wrote the same symbol, the one `written`
+    # names: on a restricted transducer and on the lifted views of a
+    # depth-2 tower
+    arena = make_branching()
+    t = restricted(length_transducer(arena.positions), arena)
+    power = build_power_arena(arena, t)
+    lifted = lift_transducer(t, power)
+    power2 = build_power_arena(power.arena, lifted)
+    lifted2 = lift_transducer(lifted, power2)
+    for below, relation in ((arena, t), (power.arena, lifted), (power2.arena, lifted2)):
+        lasts: dict = {}
+        for play in plays_up_to(below, 4):
+            for q, o in runs_to(relation, play):
+                lasts.setdefault(q, set()).add(o)
+        assert len(lasts) == len(relation) - 1   # all but the initial state
+        for q, outs in lasts.items():
+            o, = outs
+            if o is not None:
+                assert relation.written(q) == o
+            if q in relation.accepting:
+                assert o is not None
 
 
 def test_power_step_from_none_starts_a_play():
@@ -278,9 +301,7 @@ def test_state_and_last_sets_match_run_enumeration(rng):
             summary = lift_play(power, play)[-1]
             runs = runs_to(t, play)
             assert summary.states == {q for q, _ in runs}
-            got_pairs = {(q, o) for q, outs in summary.last for o in outs}
-            want_pairs = {(q, o) for q, o in runs if o is not None}
-            assert got_pairs == want_pairs
+            assert {(q, t.written(q)) for q in summary.states} == runs
 
 
 def test_lift_play_projection_bijection():

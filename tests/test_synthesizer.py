@@ -19,7 +19,7 @@ from unistrat.powerset import LiftedRelation
 from unistrat.synthesizer import (FusInstance, check_uniform,
                                   pullback_strategy, synthesize_fully_uniform)
 from unistrat.transducer import (Transducer, compose, identity_transducer,
-                                 length_transducer, trim)
+                                 length_transducer, restrict_to_plays)
 
 
 DIAGNOSABLE = """
@@ -249,13 +249,15 @@ def test_check_uniform_caps_strict_relation():
 
 def strict_reference(inst, sigma):
     """Strict check on the relation trim(down . T . up), materialized by
-    composing the play projection transducers of the outcome arena, with
-    public elimination rounds.  Returns (ok, counterexample, power
+    composing the play projection transducers of the outcome arena and
+    restricted to its plays so that its states record their last write,
+    with public elimination rounds.  Returns (ok, counterexample, power
     positions built, relation)."""
     outcome = outcome_arena(inst.arena, sigma)
     t_down, t_up = play_projection_transducers(
         outcome, itemgetter(0), plain_alphabet=inst.arena.positions)
-    relation = trim(compose(compose(t_down, inst.transducer), t_up))
+    relation = restrict_to_plays(compose(compose(t_down, inst.transducer), t_up),
+                                 outcome)
     arena, t, phi = outcome, relation, inst.phi
     depth = positions = 0
     while r_depth(phi) > 0:
