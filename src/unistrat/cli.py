@@ -3,7 +3,9 @@
 Subcommands: solve (decide the fully-uniform strategy problem), check
 (strict/full uniformity of a given strategy), encode (translate one of the
 six supported frameworks into arena/transducer/formula files), and dump
-(powerset, automaton and marking inspection).
+(powerset, automaton and marking inspection).  Every command that reads an
+arena and a transducer loads them through `FusInstance.make`, so each
+rejects malformed input with the same diagnostic.
 
 Exit codes: 0 = property holds / strategy exists, 1 = it does not,
 2 = error (bad input, refused request, or a state-space cap was hit).
@@ -16,15 +18,14 @@ import argparse
 import sys
 
 from . import encoders
-from .arena import format_arena, format_strategy, parse_arena, parse_strategy, validate
-from .errors import EncodingError, StrictSynthesisUnsupported, UnistratError
-from .formula import format_formula, parse as parse_formula, r_depth
-from .ltlgame import Caps, ltl_to_dpa, ltl_to_nba
+from .arena import format_arena, format_strategy, parse_arena, parse_strategy
+from .errors import StrictSynthesisUnsupported, UnistratError
+from .formula import Const, format_formula, parse as parse_formula, r_depth
+from .ltlgame import DEFAULT_CAPS, Caps, ltl_to_dpa, ltl_to_nba
 from .marker import eliminate_r, format_marking_report
 from .powerset import build_power_arena
 from .synthesizer import FusInstance, check_uniform, synthesize_fully_uniform
-from .transducer import (check_alphabet, format_transducer, parse_transducer,
-                         restrict_to_plays)
+from .transducer import format_transducer, parse_transducer
 
 
 def _read(path):
@@ -45,27 +46,10 @@ def _caps(args) -> Caps:
 
 
 def _add_cap_flags(parser):
-    parser.add_argument("--max-power-positions", type=int, default=10 ** 6)
-    parser.add_argument("--max-dpa-states", type=int, default=2 ** 20)
-    parser.add_argument("--max-product", type=int, default=10 ** 7)
-
-
-def _load_arena(path):
-    """Parse an arena and reject it with its first diagnostic, as solve and
-    check do through FusInstance.make."""
-    arena = parse_arena(_read(path))
-    diagnostics = validate(arena)
-    if diagnostics:
-        raise EncodingError(diagnostics[0])
-    return arena
-
-
-def _load_relation(path, arena):
-    """Parse a transducer, reject a symbol that is not an arena position,
-    and restrict it to plays, as FusInstance.make does."""
-    fst = parse_transducer(_read(path))
-    check_alphabet(fst, arena)
-    return restrict_to_plays(fst, arena)
+    parser.add_argument("--max-power-positions", type=int,
+                        default=DEFAULT_CAPS.power_positions)
+    parser.add_argument("--max-dpa-states", type=int, default=DEFAULT_CAPS.dpa_states)
+    parser.add_argument("--max-product", type=int, default=DEFAULT_CAPS.product_nodes)
 
 
 def _load_formula(args):
@@ -79,11 +63,9 @@ def _load_formula(args):
     raise UnistratError("no formula given (inline or --formula-file)")
 
 
-def _load_instance(args):
-    arena = parse_arena(_read(args.arena))
-    fst = parse_transducer(_read(args.fst))
-    phi = _load_formula(args)
-    return FusInstance.make(arena, fst, phi, protagonist=args.player)
+def _read_game(arena_path, fst_path):
+    """The parsed arena and transducer, for `FusInstance.make` to check."""
+    return parse_arena(_read(arena_path)), parse_transducer(_read(fst_path))
 
 
 def _print_result_block(pairs, fmt):
@@ -101,7 +83,8 @@ def cmd_solve(args) -> int:
             "synthesis of strictly-uniform strategies is refused: whether the "
             "problem is decidable is open; use 'check --mode=strict' to verify "
             "a given strategy instead")
-    inst = _load_instance(args)
+    inst = FusInstance.make(*_read_game(args.arena, args.fst), _load_formula(args),
+                            protagonist=args.player)
     result = synthesize_fully_uniform(inst, caps=_caps(args))
     pairs = [("verdict", result.verdict),
              ("iterations", len(result.trace) - 1)]
@@ -116,7 +99,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    inst = _load_instance(args)
+    inst = FusInstance.make(*_read_game(args.arena, args.fst), _load_formula(args),
+                            protagonist=args.player)
     sigma = parse_strategy(_read(args.strategy))
     result = check_uniform(inst, sigma, args.mode, caps=_caps(args))
     if result.ok:
@@ -187,9 +171,9 @@ def _expect_inputs(args, count, usage):
 def cmd_dump(args) -> int:
     if args.what == "powerset":
         arena_path, fst_path = _expect_inputs(args, 2, "<arena> <fst>")
-        arena = _load_arena(arena_path)
-        fst = _load_relation(fst_path, arena)
-        power = build_power_arena(arena, fst, cap=args.max_power_positions)
+        # the power arena reads the arena and the relation only
+        inst = FusInstance.make(*_read_game(arena_path, fst_path), Const(True))
+        power = build_power_arena(inst.arena, inst.transducer, cap=args.max_power_positions)
         sys.stdout.write(format_arena(power.arena))
     elif args.what == "automaton":
         (formula_text,) = _expect_inputs(args, 1, "<formula>")
@@ -207,10 +191,10 @@ def cmd_dump(args) -> int:
     elif args.what == "marking":
         arena_path, fst_path, formula_text = _expect_inputs(
             args, 3, "<arena> <fst> <formula>")
-        arena = _load_arena(arena_path)
-        fst = _load_relation(fst_path, arena)
-        phi = parse_formula(formula_text)
-        _, _, phi_hat, report = eliminate_r(arena, fst, phi, _caps(args))
+        inst = FusInstance.make(*_read_game(arena_path, fst_path),
+                                parse_formula(formula_text))
+        _, _, phi_hat, report = eliminate_r(inst.arena, inst.transducer, inst.phi,
+                                            _caps(args))
         sys.stdout.write(format_marking_report(report))
         print(f"rewritten: {format_formula(phi_hat)}")
     else:

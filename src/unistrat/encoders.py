@@ -6,6 +6,8 @@ games of dependence logic.
 Each encoder produces a FusInstance (arena, play relation, formula,
 protagonist) together with the intended checking mode and any auxiliary
 artifacts (a canonical strategy, proposition maps) that callers need.
+Every instance is made by `FusInstance.make`, which rejects an ill-formed
+arena with its first `arena.validate` diagnostic.
 
 Arenas built here are always bipartite: where a source framework moves the
 same player twice in a row, an unlabeled pass-through position owned by the
@@ -17,9 +19,9 @@ encoding wants exactly that).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .arena import Arena, Strategy, _tokens, validate
+from .arena import Arena, Strategy, _tokens
 from .errors import EncodingError, InputFormatError
 from .formula import MAX_DEPTH, parse as parse_formula
 from .graph import reachable
@@ -126,9 +128,6 @@ def _imp_arena(raw: ImpGame, with_secret_label: bool) -> tuple:
             for s2 in raw.trans[(s, a)]:
                 edges.append((pos, s2))
     arena = Arena(positions, owner, edges, raw.initial, labels, name="impinfo")
-    diags = validate(arena)
-    if diags:
-        raise EncodingError("ill-formed game: " + "; ".join(diags))
     return arena, action_of, available
 
 
@@ -228,8 +227,8 @@ def encode_opacity(raw: ImpGame) -> OpacityEncoding:
     defender_text = "G ![R] pS"
     attacker = FusInstance.make(arena, t, parse_formula(attacker_text),
                                 protagonist=1)
-    defender = FusInstance.make(arena, t, parse_formula(defender_text),
-                                protagonist=2)
+    # the same restricted relation: only the objective and the player differ
+    defender = replace(attacker, phi=parse_formula(defender_text), protagonist=2)
     return OpacityEncoding(attacker, defender, "strict", "full",
                            attacker_text, defender_text, action_of, arena)
 
@@ -379,9 +378,6 @@ def encode_noninterference(sys: NiSystem) -> NonInterferenceEncoding:
 
     initial = v1_id(None, sys.initial)
     arena = Arena(positions, owner, edges, initial, labels, name="nisys")
-    diags = validate(arena)
-    if diags:
-        raise EncodingError("ill-formed arena: " + "; ".join(diags))
 
     low = frozenset(v for v in sys.inputs if v not in sys.high)
     h = {}
@@ -536,9 +532,6 @@ def _des_arena(sys: DesSystem) -> tuple:
 
     arena = Arena(positions, owner, edges, real_id("-", sys.initial), labels,
                   name="des")
-    diags = validate(arena)
-    if diags:
-        raise EncodingError("ill-formed arena: " + "; ".join(diags))
 
     h = {}
     for pid in positions:
@@ -896,9 +889,6 @@ def encode_dependence_game(sentence: DlNode, model: DlModel) -> DlGameEncoding:
         final_edges.append((mid, dst))
 
     arena = Arena(positions, owner, final_edges, initial, labels, name="dlgame")
-    diags = validate(arena)
-    if diags:
-        raise EncodingError("ill-formed arena: " + "; ".join(diags))
 
     # related plays: identical, or ending at the same dependence atom with
     # the first terms agreeing

@@ -326,7 +326,9 @@ def depth1_r_subformulas(f: Formula) -> list[Formula]:
 def substitute(f: Formula, target: Formula, atom: str) -> Formula:
     """Replace every structural occurrence of target in f by Atom(atom).
 
-    The replacement name must not already occur in f.
+    The replacement name must not already occur in f.  A subtree with no
+    occurrence is returned as it is, so only the paths from the root to
+    the occurrences are rebuilt.
     """
     if atom in atoms(f):
         raise NameCollisionError(
@@ -334,19 +336,13 @@ def substitute(f: Formula, target: Formula, atom: str) -> Formula:
     replacement = Atom(atom)
 
     def walk(g: Formula) -> Formula:
-        if g == target:
-            return replacement
-        if isinstance(g, Not):
-            return Not(walk(g.sub))
-        if isinstance(g, Next):
-            return Next(walk(g.sub))
-        if isinstance(g, R):
-            return R(walk(g.sub))
-        if isinstance(g, And):
-            return And(walk(g.left), walk(g.right))
-        if isinstance(g, Until):
-            return Until(walk(g.left), walk(g.right))
-        return g
+        if g._height <= target._height:   # no proper subtree of g is that high
+            return replacement if g == target else g
+        if isinstance(g, (Not, Next, R)):
+            sub = walk(g.sub)
+            return g if sub is g.sub else type(g)(sub)
+        left, right = walk(g.left), walk(g.right)
+        return g if left is g.left and right is g.right else type(g)(left, right)
 
     return walk(f)
 

@@ -11,7 +11,8 @@ those that reach an accepting state.  That automaton gets a subset
 construction when it is deterministic or terminal (co-safety: a run
 accepts once it reaches an accepting state that loops on every letter);
 otherwise it is determinized (Safra/Piterman compact trees).  Automaton
-states and game nodes are numbered once, by `graph.reachable`.
+states and game nodes are numbered once, by `graph.reachable` (for the
+Buchi automaton, by `graph.live`, which also finds its live states).
 
 Letters are sets of proposition names (frozensets).  Priorities use the
 min-even convention: the protagonist (player 0) wins a play iff the least
@@ -249,11 +250,13 @@ def ltl_to_nba(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> BuchiAu
     terms of their conjunction, and only states reachable from {psi} are
     built.  Sets with the same moves are one state.  Each until gives an
     acceptance set, the moves that do not postpone it, and a counter
-    degeneralizes these into accepting states.  Only the live states are
-    kept, those that reach an accepting state, numbered 0..n-1 in
-    discovery order; a (state, letter) pair with no live successor maps
-    to the empty set.  A formula with no state that reaches an accepting
-    one, or with no move at all (such as p & !p), gives no states.
+    degeneralizes these into accepting states.  One `graph.live` pass
+    over (moves class, level) keys discovers the states breadth-first and
+    finds the live ones, those that reach an accepting state; only these
+    are kept, numbered 0..n-1 in discovery order, and a (state, letter)
+    pair with no live successor maps to the empty set.  A formula with no
+    state that reaches an accepting one, or with no move at all (such as
+    p & !p), gives no states.
     """
     if r_depth(psi) != 0:
         raise ValueError("ltl_to_nba needs a plain LTL formula")
@@ -280,52 +283,38 @@ def ltl_to_nba(psi: Formula, letters=None, caps: Caps = DEFAULT_CAPS) -> BuchiAu
                 moves.append(_letter_moves(terms, masks))
         return c
 
-    ids: dict = {}   # (moves class, level) -> state
-    keys: list = []
-
-    def state(nodes, level):
-        key = (obligations(nodes), level)
-        q = ids.get(key)
-        if q is None:
-            q = ids[key] = len(keys)
-            keys.append(key)
-            if len(keys) > caps.nba_states:
-                raise CapExceeded("Buchi automaton states", len(keys), caps.nba_states)
-        return q
-
     def target(nxt, post, j):
         while j < k and not post >> j & 1:
             j += 1
-        return state(nxt, j)
+        return obligations(nxt), j
 
-    # an accepting state (level k) moves as level 0 does
-    rows: dict = {}   # (moves class, start level) -> target set of each move kind
-    reach = []        # per state, the states its moves lead to
-    if ex.terms[root]:   # a formula with no move at all has no state
-        state(1 << root, 0)
-    for c, level in keys:   # appended to while walked
-        start = 0 if level == k else level
-        if (c, start) not in rows:
-            rows[(c, start)] = [frozenset(target(nxt, post, start) for nxt, post in kind)
-                                for kind in moves[c][0]]
-        reach.append(frozenset().union(*rows[(c, start)]))
-    accepting = [level == k for _, level in keys]
-    _, alive = live(range(len(keys)), reach.__getitem__, accepting.__getitem__)
-    number = {q: i for i, q in enumerate(sorted(alive))}
-    live_sets: dict = {}   # target set -> its live states, renumbered once
-    for row in rows.values():
-        for targets in row:
-            if targets not in live_sets:
-                live_sets[targets] = frozenset(number[t] for t in targets if t in number)
+    rows: dict = {}   # (moves class, start level) -> the targets of each move kind
+
+    def successors(state):
+        c, level = state
+        start = 0 if level == k else level   # an accepting state moves as level 0 does
+        row = rows.get((c, start))
+        if row is None:
+            row = rows[(c, start)] = [[target(nxt, post, start) for nxt, post in kind]
+                                      for kind in moves[c][0]]
+        return [t for targets in row for t in targets]
+
+    # a state is a (moves class, level) pair; a formula with no move at all has none
+    seeds = [(obligations(1 << root), 0)] if ex.terms[root] else []
+    states, alive = live(seeds, successors, lambda state: state[1] == k,
+                         caps.nba_states, "Buchi automaton states")
+    number = {state: i for i, state in enumerate(s for s in states if s in alive)}
+    live_rows = {key: [frozenset(number[t] for t in targets if t in number) for targets in row]
+                 for key, row in rows.items()}
     transitions = {}
-    for q, i in number.items():
-        c, level = keys[q]
-        row = rows[(c, 0 if level == k else level)]
+    for (c, level), i in number.items():
+        row = live_rows[(c, 0 if level == k else level)]
         for letter, j in zip(letters, moves[c][1]):
-            transitions[(i, letter)] = live_sets[row[j]]
+            transitions[(i, letter)] = row[j]
     return BuchiAutomaton(ap=ap, letters=letters, states=tuple(range(len(number))),
                           initial=frozenset([0]) if number else frozenset(),
-                          accepting=frozenset(number[q] for q in number if accepting[q]),
+                          accepting=frozenset(i for (_, level), i in number.items()
+                                              if level == k),
                           transitions=transitions)
 
 

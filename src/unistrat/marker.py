@@ -18,14 +18,13 @@ a Buchi automaton for not psi, as do the counterexample traces.
 from __future__ import annotations
 
 import copy
-from collections import deque
 
 from .arena import Arena
 from .formula import (Formula, Next, Not, atoms, depth1_r_subformulas,
                       format_formula, fresh_atom_name, holds, is_state_formula,
                       muller_condition, r_depth, substitute)
 from .graph import components, reachable
-from .ltlgame import Caps, DEFAULT_CAPS, ltl_to_nba
+from .ltlgame import Caps, DEFAULT_CAPS, _letter_key, ltl_to_nba
 
 __all__ = [
     "MarkingReport", "position_models_ltl", "trace_counterexample",
@@ -57,7 +56,7 @@ def _violation_graph(arena: Arena, psi: Formula, sources, caps: Caps):
     """
     ap = frozenset(atoms(psi))
     letter_of = [arena.labels[u] & ap for u in arena.positions]
-    letters = sorted(set(letter_of), key=lambda s: tuple(sorted(s)))
+    letters = sorted(set(letter_of), key=_letter_key)
     nba = ltl_to_nba(Not(psi), letters=letters, caps=caps)
     # ltl_to_nba numbers its states 0..n-1; sorted reads keep searches
     # (and witnesses) reproducible
@@ -85,8 +84,10 @@ def trace_counterexample(arena: Arena, v, psi: Formula, caps: Caps = DEFAULT_CAP
 
     The witness is an accepting lasso of the violation product: its anchor
     is the first accepting node, in breadth-first order, that lies on a
-    cycle; the stem is the breadth-first path to it and the cycle the
-    shortest one back to it, so short witnesses come first.
+    cycle; the stem is the breadth-first path to it, and the cycle the
+    shortest one back to it: the path of a breadth-first `graph.reachable`
+    pass from the anchor, inside its component, to the first node with the
+    anchor as a successor.  So short witnesses come first.
     """
     position, accepting, succ, parent = _violation_graph(arena, psi, [v], caps)
     found = [(min(m for m in members if accepting[m]), members)
@@ -96,24 +97,18 @@ def trace_counterexample(arena: Arena, v, psi: Formula, caps: Caps = DEFAULT_CAP
         return None
     anchor, members = min(found)
     inside = set(members)   # every cycle through the anchor stays in its component
+    loop, _, back = reachable([anchor], lambda m: [t for t in succ[m] if t in inside])
+    last = next(i for i, m in enumerate(loop) if anchor in succ[m])
 
-    def path_to(node, links):
+    def path_to(i, links, at):
         out = []
-        while node >= 0:
-            out.append(position[node])
-            node = links[node]
+        while i >= 0:
+            out.append(at[i])
+            i = links[i]
         return out[::-1]
 
-    back = {anchor: -1}
-    queue = deque([anchor])
-    while True:
-        node = queue.popleft()
-        for nxt in succ[node]:
-            if nxt == anchor:
-                return path_to(parent[anchor], parent), path_to(node, back)
-            if nxt in inside and nxt not in back:
-                back[nxt] = node
-                queue.append(nxt)
+    return (path_to(parent[anchor], parent, position),
+            path_to(last, back, [position[m] for m in loop]))
 
 
 def position_models_ltl(arena: Arena, v, psi: Formula, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -212,11 +207,6 @@ def _shape(psi: Formula) -> tuple:
         return "next", None
     condition = muller_condition(psi)
     return ("automaton" if condition is None else "muller"), condition
-
-
-def _method(psi: Formula) -> str:
-    """The first half of `_shape`: how psi is decided."""
-    return _shape(psi)[0]
 
 
 def _failing_positions(arena: Arena, psi: Formula, sources, caps: Caps) -> set:

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 from .arena import Arena, covering_step
 from .graph import live, reachable
+from .ltlgame import DEFAULT_CAPS
 from .transducer import EPSILON, Transducer
 
 __all__ = [
@@ -106,7 +107,7 @@ class PowerArena:
 
 
 def build_power_arena(arena: Arena, t: Transducer | LiftedRelation,
-                      cap: int = 10 ** 6) -> PowerArena:
+                      cap: int = DEFAULT_CAPS.power_positions) -> PowerArena:
     """Reachable fragment of the powerset arena for (arena, t), seeded with
     the summary after the initial position.
 

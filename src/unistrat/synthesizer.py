@@ -39,8 +39,10 @@ class FusInstance:
     it: `make` rejects a malformed arena with its first `arena.validate`
     diagnostic and a transducer symbol that is not a position, then
     restricts the relation to plays with `restrict_to_plays`, whose states
-    are (last read, state, last written).  Calling the constructor
-    directly trusts the transducer as given.
+    are (last read, state, last written).  `make` is the one boundary:
+    the CLI and every encoder make their instances with it, and none
+    validates or restricts on its own.  Calling the constructor (or
+    `dataclasses.replace`) directly trusts the transducer as given.
     """
 
     arena: Arena

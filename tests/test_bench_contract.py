@@ -13,12 +13,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from conftest import make_branching
+from conftest import make_branching, positional_strategies
 import unistrat.ltlgame as ltlgame
 from unistrat import marker, powerset
+from unistrat.arena import outcome_arena
 from unistrat.formula import parse
 from unistrat.synthesizer import FusInstance, synthesize_fully_uniform
-from unistrat.transducer import length_transducer
+from unistrat.transducer import compose, length_transducer, restrict_to_plays, trim
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -61,6 +62,46 @@ def test_span_attrs_read_what_the_library_returns():
         assert attrs["rdepth_after"] == stats.rdepth
         assert attrs["marked"] >= 0
         g, t, phi = result[:3]
+
+
+def test_span_attrs_count_every_other_traced_result():
+    """The other results `tracing._attrs` reads: each count agrees with
+    the result's own tables, and the pinned sizes (a 12-state Safra DPA
+    from a 4-state NBA) catch a construction whose counts moved."""
+    tracing = load_bench_module("tracing")
+    arena = make_branching()
+    psi = parse("F p -> F q")
+    nba = ltlgame.ltl_to_nba(psi)
+    assert tracing._attrs("ltlgame.ltl_to_nba", (psi,), {}, nba) \
+        == {"states": 4, "key": (psi, None)}
+    assert {q for q, _ in nba.transitions} == set(nba.states)
+    letters = [frozenset(), frozenset({"p"})]
+    fewer = ltlgame.ltl_to_nba(psi, letters=letters)
+    assert tracing._attrs("ltlgame.ltl_to_nba", (psi,), {"letters": letters}, fewer) \
+        == {"states": len(fewer.states), "key": (psi, tuple(letters))}
+    dpa = ltlgame.determinize(nba)
+    assert tracing._attrs("ltlgame.determinize", (nba,), {}, dpa) == {"states": 12}
+    assert {q for q, _ in dpa.delta} == set(dpa.states)
+    game = ltlgame.build_product_game(arena, dpa, 1)
+    assert tracing._attrs("ltlgame.build_product_game", (arena, dpa, 1), {}, game) \
+        == {"nodes": len(game.pairs),
+            "priorities": len({dpa.priority[q] for _, q in game.pairs})}
+    sigma = next(positional_strategies(arena, 1))
+    outcome = outcome_arena(arena, sigma)
+    assert tracing._attrs("arena.outcome_arena", (arena, sigma), {}, outcome) \
+        == {"positions": 3}
+    t = restrict_to_plays(length_transducer(arena.positions), arena)
+    composed = compose(t, t)
+    assert tracing._attrs("transducer.compose", (t, t), {}, composed) \
+        == {"states": len(composed.states)}
+    trimmed = trim(composed)
+    assert tracing._attrs("transducer.trim", (composed,), {}, trimmed) \
+        == {"given": len(composed.states), "kept": len(trimmed.states)}
+    body = parse("F p")
+    good = marker.satisfying_positions(arena, body)
+    assert good == {"a", "x"}
+    assert tracing._attrs("marker.satisfying_positions", (arena, body), {}, good) \
+        == {"positions": 5}
 
 
 def test_ltl_to_dpa_hands_determinize_the_nba_it_built(monkeypatch):

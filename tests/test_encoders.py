@@ -8,7 +8,7 @@ import pytest
 
 from conftest import plays_up_to, positional_strategies
 from unistrat.arena import Strategy, format_strategy, validate
-from unistrat.encoders import (_des_arena, _obs_partition,
+from unistrat.encoders import (ImpGame, _des_arena, _obs_partition,
                                encode_dependence_game,
                                encode_diagnosability, encode_imperfect_info,
                                encode_noninterference, encode_opacity,
@@ -141,6 +141,24 @@ def test_opacity_two_instances():
     assert enc.attacker.protagonist == 1
     assert enc.defender.protagonist == 2
     assert enc.arena.labels["s1"] == frozenset({"p1", "pS"})
+
+
+def test_opacity_instances_share_one_restricted_relation():
+    enc = encode_opacity(parse_impgame(OPACITY_KEPT))
+    assert enc.defender.transducer is enc.attacker.transducer
+    assert enc.defender.arena is enc.attacker.arena
+
+
+def test_imp_encoders_reject_an_undeclared_target_through_make():
+    """An ImpGame built in code skips the parser's name checks; the
+    instance boundary rejects its arena with the first diagnostic."""
+    raw = ImpGame(("s0", "s1"), ("a",),
+                  {("s0", "a"): ("s1",), ("s1", "a"): ("s9",)}, "s0", ())
+    message = "edge ('(s1,a)', 's9') references an undeclared position"
+    for encode in (encode_imperfect_info, encode_opacity):
+        with pytest.raises(EncodingError) as info:
+            encode(raw)
+        assert str(info.value) == message
 
 
 def test_opacity_defender_wins_on_ambiguous_secret():

@@ -65,6 +65,11 @@ def test_substitute_examples():
     assert substitute(parse("F p"), R(Atom("q")), "x") == parse("F p")
     h = substitute(parse("([R] p) & X [R] p"), R(Atom("p")), "x")
     assert h == And(Atom("x"), Next(Atom("x")))
+    # a subtree with no occurrence comes back as the same object
+    f = parse("G F p & X [R] q")
+    g = substitute(f, R(Atom("q")), "x")
+    assert g == parse("G F p & X x") and g.left is f.left
+    assert substitute(f, R(Atom("p")), "x") is f
 
 
 def test_substitute_name_collision():

@@ -159,7 +159,7 @@ def test_shaped_bodies_match_the_automaton_product(rng):
     for method, texts in SHAPED_BODIES.items():
         for text in texts:
             psi = parse(text)
-            assert marker._method(psi) == method, text
+            assert marker._shape(psi)[0] == method, text
             for arena in arenas:
                 some = [u for u in arena.positions if rng.random() < 0.5]
                 for sources in (arena.positions, some):
