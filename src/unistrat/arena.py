@@ -31,6 +31,10 @@ class Arena:
     edges: iterable of (src, dst) pairs;
     initial: starting position;
     labels: map position -> iterable of proposition names (missing = empty).
+
+    `dead_ends` lists, in declaration order, the positions with no
+    successor; `validate` reports them, and the marker reads an arena
+    without them as one where an infinite trace starts everywhere.
     """
 
     def __init__(self, positions, owner, edges, initial, labels, name="arena"):
@@ -51,6 +55,7 @@ class Arena:
             v: tuple(sorted(targets, key=self._index.__getitem__))
             for v, targets in succ.items()
         }
+        self.dead_ends = tuple(v for v, targets in succ.items() if not targets)
 
     def successors(self, v):
         return self._succ[v]
@@ -91,9 +96,8 @@ def validate(arena: Arena) -> list[str]:
             diagnostics.append(f"edge ({src!r}, {dst!r}) references an undeclared position")
         elif arena.owner.get(src) == arena.owner.get(dst):
             diagnostics.append(f"non-alternating edge ({src!r}, {dst!r})")
-    for v in arena.positions:
-        if not arena.successors(v):
-            diagnostics.append(f"dead end: position {v!r} has no successor")
+    for v in arena.dead_ends:
+        diagnostics.append(f"dead end: position {v!r} has no successor")
     return diagnostics
 
 

@@ -18,7 +18,7 @@ from .errors import FormulaParseError, NameCollisionError
 __all__ = [
     "Formula", "Const", "Atom", "Not", "And", "Next", "Until", "R",
     "parse", "format_formula", "atoms", "subformulas", "r_depth",
-    "depth1_r_subformulas", "substitute", "is_state_formula", "holds",
+    "depth1_r_subformulas", "substitute", "substitute_all", "is_state_formula", "holds",
     "muller_condition",
 ]
 
@@ -324,20 +324,36 @@ def depth1_r_subformulas(f: Formula) -> list[Formula]:
 
 
 def substitute(f: Formula, target: Formula, atom: str) -> Formula:
-    """Replace every structural occurrence of target in f by Atom(atom).
+    """Replace every structural occurrence of target in f by Atom(atom):
+    `substitute_all` with one target."""
+    return substitute_all(f, {target: atom})
 
-    The replacement name must not already occur in f.  A subtree with no
-    occurrence is returned as it is, so only the paths from the root to
-    the occurrences are rebuilt.
+
+def substitute_all(f: Formula, names: dict) -> Formula:
+    """Replace every structural occurrence of each target in f by the atom
+    names[target], in one walk.
+
+    No name may already occur in f, nor name two targets.  A subtree lower
+    than every target, or of smaller R-depth, holds no occurrence and is
+    returned as it is, so only the paths from the root to the occurrences
+    are rebuilt: an R-free subtree holds no [R] target.
     """
-    if atom in atoms(f):
-        raise NameCollisionError(
-            f"name collision: proposition {atom!r} already occurs in the formula")
-    replacement = Atom(atom)
+    seen: set = set()
+    for name in names.values():
+        if name in f._atoms or name in seen:
+            raise NameCollisionError(
+                f"name collision: proposition {name!r} already occurs in the formula")
+        seen.add(name)
+    replacement = {target: Atom(name) for target, name in names.items()}
+    height = min((g._height for g in replacement), default=f._height)
+    rdepth = min((g._rdepth for g in replacement), default=0)
 
     def walk(g: Formula) -> Formula:
-        if g._height <= target._height:   # no proper subtree of g is that high
-            return replacement if g == target else g
+        if g._height <= height or g._rdepth < rdepth:   # no proper subtree is a target
+            return replacement.get(g, g)
+        hit = replacement.get(g)
+        if hit is not None:
+            return hit
         if isinstance(g, (Not, Next, R)):
             sub = walk(g.sub)
             return g if sub is g.sub else type(g)(sub)

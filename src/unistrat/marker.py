@@ -11,8 +11,11 @@ Whether psi holds on every infinite trace from a position is decided on
 the arena itself when psi allows it: a state formula by the position's
 label, X s by its successors' labels, and a Boolean combination of G F s
 and F G s by Emerson-Lei emptiness, a recursive SCC decomposition of the
-positions it reaches.  Any other body takes the product of the arena with
-a Buchi automaton for not psi, as do the counterexample traces.
+positions it reaches.  On an arena with no dead end an infinite trace
+starts everywhere, so the first two read labels alone.  Any other body
+takes the product of the arena with a Buchi automaton for not psi, as do
+the counterexample traces; for an invariant G s over a state formula s
+that automaton is built here, two states with no LTL translation.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ from __future__ import annotations
 import copy
 
 from .arena import Arena
-from .formula import (Formula, Next, Not, atoms, depth1_r_subformulas,
-                      format_formula, fresh_atom_name, holds, is_state_formula,
-                      muller_condition, r_depth, substitute)
+from .formula import (Const, Formula, Next, Not, Until, atoms,
+                      depth1_r_subformulas, format_formula, fresh_atom_name,
+                      holds, is_state_formula, muller_condition, r_depth,
+                      substitute_all)
 from .graph import components, reachable
-from .ltlgame import Caps, DEFAULT_CAPS, _letter_key, ltl_to_nba
+from .ltlgame import BuchiAutomaton, Caps, DEFAULT_CAPS, _letter_key, ltl_to_nba
 
 __all__ = [
     "MarkingReport", "position_models_ltl", "trace_counterexample",
@@ -47,18 +51,49 @@ class MarkingReport:
         self.methods = dict(methods)
 
 
+_TRUE = Const(True)
+_WAIT, _HIT = frozenset([0]), frozenset([1])
+
+
+def _violation_nba(psi: Formula, letters, caps: Caps) -> BuchiAutomaton:
+    """The Buchi automaton `ltl_to_nba` gives for not psi over the letters.
+
+    An invariant G s over a state formula s reads !(true U x), x being the
+    negation of s, and its automaton is built here whenever some letter
+    satisfies s: state 0 waits, a letter that satisfies x leads to state
+    1, which is absorbing and accepting.  With no such x letter no state
+    reaches an accepting one, so there is no state.  When no letter
+    satisfies s, constant folding in `ltl_to_nba` may give one state, so
+    that case, a cap below two states and every other body go there.
+    """
+    if (isinstance(psi, Not) and isinstance(psi.sub, Until) and psi.sub.left == _TRUE
+            and is_state_formula(psi.sub.right) and caps.nba_states >= 2):
+        letters = tuple(letters)
+        hits = [holds(psi.sub.right, letter) for letter in letters]
+        if not all(hits):
+            ap = tuple(sorted(atoms(psi)))
+            if not any(hits):
+                return BuchiAutomaton(ap, letters, (), frozenset(), frozenset(), {})
+            transitions = {(0, letter): _HIT if hit else _WAIT
+                           for letter, hit in zip(letters, hits)}
+            transitions.update(((1, letter), _HIT) for letter in letters)
+            return BuchiAutomaton(ap, letters, (0, 1), _WAIT, _HIT, transitions)
+    return ltl_to_nba(Not(psi), letters=letters, caps=caps)
+
+
 def _violation_graph(arena: Arena, psi: Formula, sources, caps: Caps):
-    """Product of the arena with an NBA for not psi, reachable from (u, q0)
-    for u in sources, numbered by `graph.reachable`; its accepting traces
-    are the traces violating psi.  Returns the (position, accepting, succ,
-    parent) lists of its nodes.  No node carries an NBA state that reaches
-    no accepting state: `ltl_to_nba` keeps none.
+    """Product of the arena with an NBA for not psi (`_violation_nba`),
+    reachable from (u, q0) for u in sources, numbered by
+    `graph.reachable`; its accepting traces are the traces violating psi.
+    Returns the (position, accepting, succ, parent) lists of its nodes.
+    No node carries an NBA state that reaches no accepting state: the
+    automaton has none.
     """
     ap = frozenset(atoms(psi))
     letter_of = [arena.labels[u] & ap for u in arena.positions]
     letters = sorted(set(letter_of), key=_letter_key)
-    nba = ltl_to_nba(Not(psi), letters=letters, caps=caps)
-    # ltl_to_nba numbers its states 0..n-1; sorted reads keep searches
+    nba = _violation_nba(psi, letters, caps)
+    # the automaton numbers its states 0..n-1; sorted reads keep searches
     # (and witnesses) reproducible
     nq = len(nba.states)
     reads = {key: sorted(targets) for key, targets in nba.transitions.items()}
@@ -215,6 +250,14 @@ def _failing_positions(arena: Arena, psi: Formula, sources, caps: Caps) -> set:
     return _failing_shaped(arena, psi, _shape(psi), sources, caps)
 
 
+def _with_infinite_trace(arena: Arena, seeds, caps: Caps) -> set:
+    """The distinct seeds from which an infinite trace starts: all of them
+    on an arena with no dead end, so only other arenas are searched."""
+    if not arena.dead_ends:
+        return set(seeds)
+    return _rejecting_seeds(arena, seeds, [], _reject_all, caps)
+
+
 def _failing_shaped(arena: Arena, psi: Formula, shape, sources, caps: Caps) -> set:
     """`_failing_positions` for psi of the given `_shape`.
 
@@ -226,11 +269,11 @@ def _failing_shaped(arena: Arena, psi: Formula, shape, sources, caps: Caps) -> s
     method, condition = shape
     if method == "state":
         seeds = [u for u in sources if not holds(psi, arena.labels[u])]
-        return _rejecting_seeds(arena, seeds, [], _reject_all, caps)
+        return _with_infinite_trace(arena, seeds, caps)
     if method == "next":
         seeds = list(dict.fromkeys(w for u in sources for w in arena.successors(u)
                                    if not holds(psi.sub, arena.labels[w])))
-        bad = _rejecting_seeds(arena, seeds, [], _reject_all, caps)
+        bad = _with_infinite_trace(arena, seeds, caps)
         return {u for u in sources if not bad.isdisjoint(arena.successors(u))}
     if method == "muller":
         recs, accepts = condition
@@ -250,7 +293,8 @@ def eliminate_r(arena: Arena, t, phi: Formula, caps: Caps = DEFAULT_CAPS):
 
     G' is the power arena relabelled with a fresh proposition per depth-one
     [R] subformula; T' is the lifted relation, a view the next round
-    explores on demand; phi' substitutes the fresh propositions in.  The
+    explores on demand, numbering at most caps.product_nodes states;
+    phi' substitutes the fresh propositions in, in one walk.  The
     relation of t must be restricted to play pairs.
     """
     from .powerset import build_power_arena, lift_transducer
@@ -259,7 +303,7 @@ def eliminate_r(arena: Arena, t, phi: Formula, caps: Caps = DEFAULT_CAPS):
         raise ValueError("eliminate_r needs a formula with at least one R")
     targets = depth1_r_subformulas(phi)
     power = build_power_arena(arena, t, cap=caps.power_positions)
-    lifted = lift_transducer(t, power)
+    lifted = lift_transducer(t, power, caps.product_nodes)
 
     used = set(atoms(phi)) | set(arena.propositions)
     atom_sources: dict = {}
@@ -283,9 +327,7 @@ def eliminate_r(arena: Arena, t, phi: Formula, caps: Caps = DEFAULT_CAPS):
                 new_labels[p].add(name)
         marked_positions[name] = marked
 
-    phi_hat = phi
-    for name, r_sub in atom_sources.items():
-        phi_hat = substitute(phi_hat, r_sub, name)
+    phi_hat = substitute_all(phi, {r_sub: name for name, r_sub in atom_sources.items()})
     assert r_depth(phi_hat) == r_depth(phi) - 1
 
     # the power arena with new labels: positions, edges and successor

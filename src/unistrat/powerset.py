@@ -13,7 +13,9 @@ only through `initial`, `accepting`, `transitions_from` and `written`, so
 the same code runs on a play-restricted `Transducer` and on the
 `LiftedRelation` view that carries it over to the plays of a covering
 arena: the power arena, for the next round, or the outcome arena of a
-strategy, in strict checking.
+strategy, in strict checking.  The view numbers its states as it finds
+them, under a cap, so summaries over it (strict ones, and those from
+round 2 on) are sets of ints.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .arena import Arena, covering_step
-from .graph import live, reachable
+from .errors import CapExceeded
+from .graph import reachable
 from .ltlgame import DEFAULT_CAPS
 from .transducer import EPSILON, Transducer
 
@@ -131,36 +134,26 @@ def build_power_arena(arena: Arena, t: Transducer | LiftedRelation,
     return PowerArena(arena, power)
 
 
-class _Accepting:
-    """Accepting states of a lifted relation: t accepts and both tapes
-    hold a nonempty power play."""
-
-    __slots__ = ("_accepting",)
-
-    def __init__(self, accepting):
-        self._accepting = accepting
-
-    def __contains__(self, state):
-        d, q, u = state
-        return d >= 0 and u >= 0 and q in self._accepting
-
-
 class LiftedRelation:
     """The relation of t carried over to plays of a covering arena,
-    explored on demand.
+    explored on demand, with its states numbered as they are found.
 
     A covering's positions project by `down` onto positions of t's arena,
     with at most one successor per position and projected successor: the
     power arena (down p = p.v) and the outcome arena of a strategy
     (down o = o[0]) are coverings.  The view relates two covering plays iff
-    t relates their projections (down . t . up).  A state (d, q, u) pairs
-    a state q of t with the numbers, in `covering.positions`, of the last
-    covering position read (d) and written (u); -1 stands for before the
-    first.  The view offers what the power construction reads of a
-    relation: `initial`, `accepting`, `transitions_from` and `written`.
-    Each state's moves are computed when `transitions_from` first asks for
-    them; `len` explores every reachable state once and remembers the
-    count.
+    t relates their projections (down . t . up).  Its state number n
+    stands for a triple (d, q, u), kept for `written`: a state q of t with
+    the numbers, in `covering.positions`, of the last covering position
+    read (d) and written (u); -1 stands for before the first.  The initial
+    state is 0, and `accepting` holds the numbers found so far whose q t
+    accepts after both tapes hold a nonempty play.  So summaries over the
+    view are sets of ints, and the view offers what the power construction
+    reads of a relation: `initial`, `accepting`, `transitions_from` and
+    `written`.  Each state's moves are computed when `transitions_from`
+    first asks for them, and numbering a state past `cap` raises
+    CapExceeded(what, ...); `len` explores every reachable state once and
+    remembers the count.
 
     Over a covering with a successor for every plain successor, as the
     power arena has, the view is trim whenever t is trimmed and restricted
@@ -169,15 +162,33 @@ class LiftedRelation:
     with `drop_dead_states`.
     """
 
-    def __init__(self, t, covering: Arena, down):
+    def __init__(self, t, covering: Arena, down, cap=None, what="lifted relation states"):
         self.t = t
         self.covering = covering
         self.down = down
-        self.initial = (-1, t.initial, -1)
-        self.accepting = _Accepting(t.accepting)
-        self._moves: dict = {}
+        self.cap = cap
+        self.what = what
+        self.initial = 0
+        self.accepting: set = set()
+        self._triples: list = []   # number -> (d, q, u)
+        self._number: dict = {}    # (d, q, u) -> number
+        self._moves: list = []     # number -> its moves, None until asked
         self._next = None
         self._size = None
+        self._state((-1, t.initial, -1))
+
+    def _state(self, triple) -> int:
+        """Number a newly found state."""
+        n = len(self._triples)
+        if self.cap is not None and n >= self.cap:
+            raise CapExceeded(self.what, n + 1, self.cap)
+        self._number[triple] = n
+        self._triples.append(triple)
+        self._moves.append(None)
+        d, q, u = triple
+        if d >= 0 and u >= 0 and q in self.t.accepting:
+            self.accepting.add(n)
+        return n
 
     def _numbered_edges(self) -> dict:
         """`covering_step` on position numbers; -1 numbers the point
@@ -187,14 +198,15 @@ class LiftedRelation:
                 for (o, v), o2 in covering_step(self.covering, self.down).items()}
 
     def transitions_from(self, state):
-        moves = self._moves.get(state)
+        moves = self._moves[state]
         if moves is not None:
             return moves
         if self._next is None:
             self._next = self._numbered_edges()
         step = self._next
+        number = self._number
         positions = self.covering.positions
-        d, q, u = state
+        d, q, u = self._triples[state]
         out = []
         for a, b, q2 in self.t.transitions_from(q):
             d2, u2 = d, u
@@ -206,29 +218,43 @@ class LiftedRelation:
                 u2 = step.get((u, b))
                 if u2 is None:
                     continue
+            triple = (d2, q2, u2)
+            n = number.get(triple)
+            if n is None:
+                n = self._state(triple)
             out.append((EPSILON if a is EPSILON else positions[d2],
-                        EPSILON if b is EPSILON else positions[u2], (d2, q2, u2)))
+                        EPSILON if b is EPSILON else positions[u2], n))
         moves = self._moves[state] = tuple(out)
         return moves
 
     def written(self, state):
         """The covering position the state last wrote; the state must
         have written one, as accepting states have."""
-        return self.covering.positions[state[2]]
+        return self.covering.positions[self._triples[state][2]]
 
     def _targets(self, state):
-        return [s2 for _, _, s2 in self.transitions_from(state)]
+        return [n for _, _, n in self.transitions_from(state)]
 
-    def drop_dead_states(self, cap=None, what="lifted relation states"):
+    def drop_dead_states(self):
         """Explore the view once and drop every move into a state that
         reaches no accepting state, so the view is trim; the initial state
-        stays, as in `transducer.trim`.  Raises CapExceeded once more than
-        cap states are reached."""
-        nodes, alive = live([self.initial], self._targets,
-                            self.accepting.__contains__, cap, what)
-        if len(alive) < len(nodes):
-            for s in nodes:
-                self._moves[s] = tuple(m for m in self._moves[s] if m[2] in alive)
+        stays, as in `transducer.trim`.  Every numbered state is
+        reachable and numbering appends, so walking the numbers in order
+        explores the whole view under its cap; one backward pass from the
+        accepting numbers then finds the live ones."""
+        n = 0
+        while n < len(self._moves):
+            self.transitions_from(n)
+            n += 1
+        pred: list = [[] for _ in self._moves]
+        for n, moves in enumerate(self._moves):
+            for _, _, m in moves:
+                pred[m].append(n)
+        found, _, _ = reachable(list(self.accepting), pred.__getitem__)
+        if len(found) < len(self._moves):
+            alive = set(found)
+            for n, moves in enumerate(self._moves):
+                self._moves[n] = tuple(m for m in moves if m[2] in alive)
         self._size = None
 
     def __len__(self):
@@ -238,7 +264,8 @@ class LiftedRelation:
         return self._size
 
 
-def lift_transducer(t, power: PowerArena) -> LiftedRelation:
+def lift_transducer(t, power: PowerArena, cap=None) -> LiftedRelation:
     """Transport the relation of t to plays of the power arena, as a view
-    computed on demand (see `LiftedRelation`)."""
-    return LiftedRelation(t, power.arena, attrgetter("v"))
+    computed on demand that numbers at most cap states (see
+    `LiftedRelation`)."""
+    return LiftedRelation(t, power.arena, attrgetter("v"), cap)

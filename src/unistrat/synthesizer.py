@@ -64,7 +64,9 @@ class IterationStats:
     states of its relation and R-depth of its formula.
 
     The relation is counted the first time `transducer_states` is read and
-    then dropped, so no lifted view is explored only to fill a trace.
+    then dropped, so no lifted view is explored only to fill a trace.  A
+    lifted view counts under its cap, so that read raises CapExceeded
+    when the view has more states than caps.product_nodes.
     """
 
     def __init__(self, arena_positions: int, relation, rdepth: int):
@@ -106,7 +108,8 @@ def _eliminate_all(arena, transducer, phi, caps):
     Returns (rounds, chain): rounds lists the (arena, relation, formula)
     triple before each round and after the last one, chain the power
     arena of each round.  Each lifted relation is a view that only the
-    next round explores, so nothing here counts its states.
+    next round explores, so nothing here counts its states; a view that
+    outgrows its cap raises there, with that round's number.
     """
     rounds = [(arena, transducer, phi)]
     chain = []
@@ -198,9 +201,10 @@ def check_uniform(inst: FusInstance, sigma: Strategy, mode: str,
             return down(node[0])
     else:
         outcome = outcome_arena(inst.arena, sigma, cap=caps.product_nodes)
-        relation = LiftedRelation(inst.transducer, outcome, itemgetter(0))
+        relation = LiftedRelation(inst.transducer, outcome, itemgetter(0),
+                                  caps.product_nodes, "strict relation states")
         if r_depth(inst.phi) > 0:   # only elimination reads the relation
-            relation.drop_dead_states(caps.product_nodes, "strict relation states")
+            relation.drop_dead_states()
         rounds, chain = _eliminate_all(outcome, relation, inst.phi, caps)
         monitored, _, phi_n = rounds[-1]
         down = _projection(chain)

@@ -24,6 +24,17 @@ def test_validate_dead_end():
     assert any("dead end" in d for d in diags)
 
 
+def test_dead_ends_recorded_in_declaration_order():
+    # an edge to an undeclared position leaves its source a dead end
+    arena = Arena(["v2", "v0", "v1"], {"v0": 1, "v1": 2, "v2": 2},
+                  [("v0", "v1"), ("v1", "v9")], "v0", {})
+    assert arena.dead_ends == ("v2", "v1")
+    assert [d for d in validate(arena) if "dead end" in d] == [
+        "dead end: position 'v2' has no successor",
+        "dead end: position 'v1' has no successor"]
+    assert make_g0().dead_ends == ()
+
+
 def test_outcome_arena_unique_play():
     g0 = make_g0()
     sigma = Strategy(1, "m", {("m", "v0"): "m", ("m", "v1"): "m"},

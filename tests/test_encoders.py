@@ -401,6 +401,33 @@ def test_dependence_game_no_dep_atoms_every_strategy_uniform():
         assert check_uniform(enc.instance, sigma, "strict").ok
 
 
+def test_strict_checks_build_no_buchi_automaton(monkeypatch):
+    """A strict check's residual formula is an invariant G s, whose
+    counterexample automaton the marker builds itself: an
+    imperfect-information and a dependence-logic encoding make no
+    `ltl_to_nba` call, with the witnesses the translation gave."""
+    from unistrat import ltlgame, marker
+
+    def refused(psi, *args, **kwargs):
+        raise AssertionError(f"Buchi automaton built for {psi}")
+
+    monkeypatch.setattr(marker, "ltl_to_nba", refused)
+    monkeypatch.setattr(ltlgame, "ltl_to_nba", refused)
+    enc = encode_imperfect_info(parse_impgame(IMP_TOY))
+    update = {("m", v): "m" for v in enc.instance.arena.positions}
+    choice = {("m", "s0"): "(s0,a)", ("m", "s1"): "(s1,a)",
+              ("m", "s2"): "(s2,b)", ("m", "s3"): "(s3,a)"}
+    result = check_uniform(enc.instance, Strategy(1, "m", update, choice), "strict")
+    assert result.counterexample == ("s0", "(s0,a)", "s1", "(s1,a)", "s3", "(s3,a)")
+    sentence, model = parse_dlgame(DEP_PAIR_GAME.format(dom="0,1,2"))
+    enc = encode_dependence_game(sentence, model)
+    verdicts = [check_uniform(enc.instance, sigma, "strict") for sigma in dl_strategies(enc)]
+    assert [v.ok for v in verdicts[:4]] == [True, True, True, False]
+    assert verdicts[3].counterexample == (
+        "n1{}", ">n2{x0=2}", "n2{x0=2}", "n4{x0=2,x1=1}",
+        ">n5{x0=2,x1=1}", "n5{x0=2,x1=1}", ">n5{x0=2,x1=1}", "n5{x0=2,x1=1}")
+
+
 def test_dependence_game_free_variable_rejected():
     sentence, model = parse_dlgame("dlgame\nsentence exists x (x = y)\ndom 0\n")
     with pytest.raises(EncodingError):

@@ -8,7 +8,7 @@ from conftest import child_env
 from unistrat.errors import FormulaParseError, NameCollisionError
 from unistrat.formula import (MAX_DEPTH, And, Atom, Const, Next, Not, R, Until,
                               atoms, depth1_r_subformulas, format_formula, parse,
-                              r_depth, subformulas, substitute)
+                              r_depth, subformulas, substitute, substitute_all)
 
 
 def test_parse_atom():
@@ -129,6 +129,34 @@ def test_substituting_all_depth1_decreases_rdepth(rng):
         for i, sub in enumerate(depth1_r_subformulas(f)):
             g = substitute(g, sub, f"@R{i}")
         assert r_depth(g) == r_depth(f) - 1
+
+
+def test_substitute_all_equals_substitutions_in_turn(rng):
+    trials = 0
+    while trials < 200:
+        f = _random_core(rng, rng.randint(2, 9))
+        if r_depth(f) < 1:
+            continue
+        trials += 1
+        names = {sub: f"@R{i}" for i, sub in enumerate(depth1_r_subformulas(f))}
+        g = f
+        for sub, name in names.items():
+            g = substitute(g, sub, name)
+        assert substitute_all(f, names) == g
+    # R-free subtrees come back as the same objects
+    f = parse("(G F p & [R] q) U ([R] p & X r)")
+    g = substitute_all(f, {R(Atom("q")): "x", R(Atom("p")): "y"})
+    assert g == parse("(G F p & x) U (y & X r)")
+    assert g.left.left is f.left.left and g.right.right is f.right.right
+    assert substitute_all(f, {}) is f
+
+
+def test_substitute_all_name_collisions():
+    f = parse("x & [R] p & [R] q")
+    with pytest.raises(NameCollisionError):
+        substitute_all(f, {R(Atom("q")): "y", R(Atom("p")): "x"})
+    with pytest.raises(NameCollisionError):
+        substitute_all(f, {R(Atom("q")): "y", R(Atom("p")): "y"})
 
 
 def test_subformulas_closed_under_subterms():

@@ -5,8 +5,9 @@ import pytest
 from conftest import lassos_of, lift_play, make_branching, make_g0, random_arena
 from unistrat.arena import Arena
 from unistrat.errors import CapExceeded
-from unistrat.formula import Atom, R, format_formula, muller_condition, parse, r_depth
-from unistrat.ltlgame import Caps, ltl_to_nba
+from unistrat.formula import (Atom, Not, R, atoms, format_formula, holds,
+                              muller_condition, parse, r_depth)
+from unistrat.ltlgame import Caps, _letter_key, all_letters, ltl_to_nba
 from unistrat import marker
 from unistrat.marker import (eliminate_r, format_marking_report,
                              position_models_ltl, satisfying_positions,
@@ -183,6 +184,55 @@ def test_shaped_bodies_skip_the_automaton(monkeypatch):
     assert calls == []
     eliminate_r(arena, t, parse("[R](p U q)"))
     assert len(calls) == 1
+
+
+def random_state_text(rng, depth=3):
+    """A random state formula over p, q, r and the constants."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(("p", "q", "r", "true", "false"))
+    op = rng.choice(("!", "&", "|", "->"))
+    if op == "!":
+        return f"!({random_state_text(rng, depth - 1)})"
+    return f"({random_state_text(rng, depth - 1)} {op} {random_state_text(rng, depth - 1)})"
+
+
+def test_invariant_automaton_equals_the_translation(monkeypatch):
+    """The automaton built for not G s equals what `ltl_to_nba` gives, in
+    states, initial, accepting and transitions, and is built without it
+    whenever some letter satisfies s."""
+    translated = []
+
+    def counted(*args, **kwargs):
+        translated.append(args[0])
+        return ltl_to_nba(*args, **kwargs)
+
+    monkeypatch.setattr(marker, "ltl_to_nba", counted)
+    rng = random.Random(23)
+    kinds = {"two states": 0, "no state": 0, "translated": 0}
+    for _ in range(2400):
+        psi = parse(f"G {random_state_text(rng)}")
+        universe = all_letters(atoms(psi))
+        letters = sorted(rng.sample(universe, rng.randint(1, len(universe))), key=_letter_key)
+        translated.clear()
+        got = marker._violation_nba(psi, letters, Caps())
+        want = ltl_to_nba(Not(psi), letters=letters)
+        assert (got.ap, got.letters, got.states, got.initial, got.accepting,
+                got.transitions) == (want.ap, want.letters, want.states, want.initial,
+                                     want.accepting, want.transitions), format_formula(psi)
+        s = psi.sub.right.sub   # psi reads !(true U !s)
+        if not any(holds(s, letter) for letter in letters):
+            assert len(translated) == 1
+            kinds["translated"] += 1
+        else:
+            assert translated == []
+            kinds["two states" if got.states else "no state"] += 1
+    assert min(kinds.values()) >= 100, kinds
+    # below two states the cap refuses the automaton as the translation does
+    psi = parse("G p")
+    letters = all_letters(["p"])
+    with pytest.raises(CapExceeded) as exc:
+        marker._violation_nba(psi, letters, Caps(nba_states=1))
+    assert (exc.value.what, exc.value.size, exc.value.cap) == ("Buchi automaton states", 2, 1)
 
 
 def test_muller_body_shape_worked_out_once(monkeypatch):

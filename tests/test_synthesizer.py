@@ -247,6 +247,21 @@ def test_check_uniform_caps_strict_relation():
     assert check_uniform(plain, sigma, "strict", caps=Caps(product_nodes=size - 1)).ok
 
 
+def test_synthesis_caps_lifted_relation():
+    # round 2 builds its power arena over the round-1 lifted view, which
+    # numbers its 10 states against the product cap
+    arena = make_branching()
+    inst = FusInstance.make(arena, length_transducer(arena.positions),
+                            parse("F [R] G <R> !p"))
+    result = synthesize_fully_uniform(inst, caps=Caps(product_nodes=10))
+    assert result.exists
+    assert [entry.transducer_states for entry in result.trace] == [10, 10, 10]
+    with pytest.raises(CapExceeded) as exc:
+        synthesize_fully_uniform(inst, caps=Caps(product_nodes=9))
+    assert (exc.value.what, exc.value.size, exc.value.cap, exc.value.iteration) == \
+        ("lifted relation states", 10, 9, 2)
+
+
 def strict_reference(inst, sigma):
     """Strict check on the relation trim(down . T . up), materialized by
     composing the play projection transducers of the outcome arena and
