@@ -315,7 +315,7 @@ def parse_strategy(text: str) -> Strategy:
         if kind == "strategy":
             for field in parts[1:]:
                 if field.startswith("player="):
-                    player = int(field[len("player="):])
+                    player = field[len("player="):]
                 elif field.startswith("memory="):
                     declared = [x for x in field[len("memory="):].split(",") if x]
                 elif field.startswith("init="):
@@ -332,11 +332,11 @@ def parse_strategy(text: str) -> Strategy:
                 choice[key] = parts[4]
         else:
             raise InputFormatError(f"unknown directive {kind!r}", lineno)
-    if player not in (1, 2):
+    if player not in ("1", "2"):
         raise InputFormatError("strategy needs player=1 or player=2")
     if initial is None:
         raise InputFormatError("strategy needs init=<memory>")
-    strat = Strategy(player, initial, update, choice)
+    strat = Strategy(int(player), initial, update, choice)
     if declared:
         missing = [m for m in strat.memory if m not in declared]
         if missing:

@@ -83,9 +83,10 @@ def cmd_solve(args) -> int:
             "synthesis of strictly-uniform strategies is refused: whether the "
             "problem is decidable is open; use 'check --mode=strict' to verify "
             "a given strategy instead")
+    caps = _caps(args)
     inst = FusInstance.make(*_read_game(args.arena, args.fst), _load_formula(args),
-                            protagonist=args.player)
-    result = synthesize_fully_uniform(inst, caps=_caps(args))
+                            protagonist=args.player, caps=caps)
+    result = synthesize_fully_uniform(inst, caps=caps)
     pairs = [("verdict", result.verdict),
              ("iterations", len(result.trace) - 1)]
     for k, stats in enumerate(result.trace):
@@ -99,10 +100,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    caps = _caps(args)
     inst = FusInstance.make(*_read_game(args.arena, args.fst), _load_formula(args),
-                            protagonist=args.player)
+                            protagonist=args.player, caps=caps)
     sigma = parse_strategy(_read(args.strategy))
-    result = check_uniform(inst, sigma, args.mode, caps=_caps(args))
+    result = check_uniform(inst, sigma, args.mode, caps=caps)
     if result.ok:
         _print_result_block([("verdict", "uniform"), ("mode", args.mode)], args.format)
         return 0
@@ -121,7 +123,7 @@ def cmd_encode(args) -> int:
     def emit(tag, instance, formula_text, strategy=None):
         lead = f"{prefix}{tag}" if tag else prefix
         _write(lead + ".arena", format_arena(instance.arena))
-        _write(lead + ".fst", format_transducer(instance.transducer))
+        _write(lead + ".fst", format_transducer(instance.transducer.t))
         _write(lead + ".formula", formula_text + "\n")
         if strategy is not None:
             _write(lead + ".strategy", format_strategy(strategy))
@@ -172,7 +174,8 @@ def cmd_dump(args) -> int:
     if args.what == "powerset":
         arena_path, fst_path = _expect_inputs(args, 2, "<arena> <fst>")
         # the power arena reads the arena and the relation only
-        inst = FusInstance.make(*_read_game(arena_path, fst_path), Const(True))
+        inst = FusInstance.make(*_read_game(arena_path, fst_path), Const(True),
+                                caps=_caps(args))
         power = build_power_arena(inst.arena, inst.transducer, cap=args.max_power_positions)
         sys.stdout.write(format_arena(power.arena))
     elif args.what == "automaton":
@@ -191,10 +194,10 @@ def cmd_dump(args) -> int:
     elif args.what == "marking":
         arena_path, fst_path, formula_text = _expect_inputs(
             args, 3, "<arena> <fst> <formula>")
+        caps = _caps(args)
         inst = FusInstance.make(*_read_game(arena_path, fst_path),
-                                parse_formula(formula_text))
-        _, _, phi_hat, report = eliminate_r(inst.arena, inst.transducer, inst.phi,
-                                            _caps(args))
+                                parse_formula(formula_text), caps=caps)
+        _, _, phi_hat, report = eliminate_r(inst.arena, inst.transducer, inst.phi, caps)
         sys.stdout.write(format_marking_report(report))
         print(f"rewritten: {format_formula(phi_hat)}")
     else:

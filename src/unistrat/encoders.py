@@ -46,6 +46,13 @@ def _check_name(kind, name, lineno=None):
         raise InputFormatError(f"{kind} name {name!r} must be alphanumeric", lineno)
 
 
+def _check_declared(kind, parts, lineno):
+    """Check the name that a declaring line, such as `state s0`, gives."""
+    if len(parts) < 2:
+        raise InputFormatError(f"{parts[0]} line needs a {kind} name", lineno)
+    _check_name(kind, parts[1], lineno)
+
+
 # ---------------------------------------------------------------------------
 # Imperfect information (and opacity)
 
@@ -70,7 +77,7 @@ def parse_impgame(text: str) -> ImpGame:
         if kind == "impgame":
             continue
         if kind == "state":
-            _check_name("state", parts[1], lineno)
+            _check_declared("state", parts, lineno)
             states.append(parts[1])
             for flag in parts[2:]:
                 if flag == "init":
@@ -80,13 +87,15 @@ def parse_impgame(text: str) -> ImpGame:
                 else:
                     raise InputFormatError(f"unknown state flag {flag!r}", lineno)
         elif kind == "action":
-            _check_name("action", parts[1], lineno)
+            _check_declared("action", parts, lineno)
             actions.append(parts[1])
         elif kind == "trans":
             if len(parts) != 4:
                 raise InputFormatError("trans needs <state> <action> <state>", lineno)
             trans.setdefault((parts[1], parts[2]), []).append(parts[3])
         elif kind == "obs":
+            if len(parts) < 2:
+                raise InputFormatError("obs line needs at least one state", lineno)
             obs_blocks.append(tuple(parts[1:]))
         else:
             raise InputFormatError(f"unknown directive {kind!r}", lineno)
@@ -269,14 +278,14 @@ def parse_nisys(text: str) -> NiSystem:
         if kind == "nisys":
             continue
         if kind == "in":
-            _check_name("input variable", parts[1], lineno)
+            _check_declared("input variable", parts, lineno)
             inputs.append(parts[1])
             if len(parts) > 2:
                 if parts[2] != "high":
                     raise InputFormatError(f"unknown input flag {parts[2]!r}", lineno)
                 high.add(parts[1])
         elif kind == "out":
-            _check_name("output variable", parts[1], lineno)
+            _check_declared("output variable", parts, lineno)
             outputs.append(parts[1])
         elif kind == "trans":
             if len(parts) != 4:
@@ -425,7 +434,7 @@ def parse_des(text: str) -> DesSystem:
         if kind == "des":
             continue
         if kind == "state":
-            _check_name("state", parts[1], lineno)
+            _check_declared("state", parts, lineno)
             states.append(parts[1])
             for flag in parts[2:]:
                 if flag == "init":
@@ -435,7 +444,7 @@ def parse_des(text: str) -> DesSystem:
                 else:
                     raise InputFormatError(f"unknown state flag {flag!r}", lineno)
         elif kind == "event":
-            _check_name("event", parts[1], lineno)
+            _check_declared("event", parts, lineno)
             events.append(parts[1])
             if len(parts) > 2:
                 if parts[2] != "obs":

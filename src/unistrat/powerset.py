@@ -2,20 +2,19 @@
 
 A power position pairs an arena position with a summary of every run the
 relation may be in after the play so far: the set of states those runs
-reach.  Each relation the construction reads records its last written
-symbol in its state (`written`), so the local information set of a power
-position is what its accepting states wrote; it equals the set of
-endpoints of related plays.
+reach.  Every relation the construction reads is a `LiftedRelation`: the
+relation of a transducer carried over to the plays of an arena that
+covers its own.  Lifted onto the arena itself, it is the relation
+restricted to pairs of plays (`transducer.restrict_to_plays`), which
+round 1 reads; lifted onto the power arena, it serves the next round,
+and onto the outcome arena of a strategy, strict checking.  A view
+numbers its states as it finds them, under a cap, and records in each
+the last position written, so summaries are sets of ints and the local
+information set of a power position is what its accepting states wrote;
+it equals the set of endpoints of related plays.
 
 The construction is reachable-only and hash-conses power positions, so the
-astronomically large full space is never materialized.  A relation is read
-only through `initial`, `accepting`, `transitions_from` and `written`, so
-the same code runs on a play-restricted `Transducer` and on the
-`LiftedRelation` view that carries it over to the plays of a covering
-arena: the power arena, for the next round, or the outcome arena of a
-strategy, in strict checking.  The view numbers its states as it finds
-them, under a cap, so summaries over it (strict ones, and those from
-round 2 on) are sets of ints.
+astronomically large full space is never materialized.
 """
 
 from __future__ import annotations
@@ -24,11 +23,11 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
-from .arena import Arena, covering_step
+from .arena import Arena
 from .errors import CapExceeded
 from .graph import reachable
 from .ltlgame import DEFAULT_CAPS
-from .transducer import EPSILON, Transducer
+from .transducer import EPSILON
 
 __all__ = [
     "PowerPosition", "PowerArena", "power_step", "build_power_arena",
@@ -53,7 +52,7 @@ class PowerPosition(NamedTuple):
     info: frozenset
 
     def __str__(self):
-        states = ",".join(str(q) for q in sorted(self.states, key=str))
+        states = ",".join(map(str, sorted(self.states)))
         info = ",".join(str(u) for u in sorted(self.info, key=str))
         return f"{self.v}|S={{{states}}}|I={{{info}}}"
 
@@ -70,15 +69,15 @@ def _close(states: set, moves) -> set:
 
 
 def power_step(current: PowerPosition | None, next_v,
-               t: Transducer | LiftedRelation, arena: Arena) -> PowerPosition:
+               t: LiftedRelation, arena: Arena) -> PowerPosition:
     """Deterministic successor summary after the play advances to next_v.
 
     next_v must be an arena successor of the current underlying position;
     current=None starts a play, and next_v must then be the initial
-    position.  t is a play-restricted `Transducer` or a `LiftedRelation`.
-    A step reads next_v from each state of the summary, then closes the
-    states reached under epsilon-input moves.  A summary is closed already,
-    so only the first step closes `t.initial` before its read.
+    position, and t a view onto the arena.  A step reads next_v from each
+    state of the summary, then closes the states reached under
+    epsilon-input moves.  A summary is closed already, so only the first
+    step closes `t.initial` before its read.
     """
     moves = t.transitions_from
     if current is None:
@@ -109,14 +108,14 @@ class PowerArena:
     arena: Arena
 
 
-def build_power_arena(arena: Arena, t: Transducer | LiftedRelation,
+def build_power_arena(arena: Arena, t: LiftedRelation,
                       cap: int = DEFAULT_CAPS.power_positions) -> PowerArena:
     """Reachable fragment of the powerset arena for (arena, t), seeded with
     the summary after the initial position.
 
-    The relation of t must already be restricted to pairs of plays, with
-    states that record their last write, as `restrict_to_plays` and
-    `lift_transducer` make them.  Raises CapExceeded when more than `cap` power positions are reached.
+    t is a view onto the arena, as `restrict_to_plays` and
+    `lift_transducer` make them.  Raises CapExceeded when more than `cap`
+    power positions are reached.
     """
     def successors(p):
         return [power_step(p, v2, t, arena) for v2 in arena.successors(p.v)]
@@ -140,9 +139,10 @@ class LiftedRelation:
 
     A covering's positions project by `down` onto positions of t's arena,
     with at most one successor per position and projected successor: the
-    power arena (down p = p.v) and the outcome arena of a strategy
-    (down o = o[0]) are coverings.  The view relates two covering plays iff
-    t relates their projections (down . t . up).  Its state number n
+    arena itself (down the identity), the power arena (down p = p.v) and
+    the outcome arena of a strategy (down o = o[0]) are coverings.  The
+    view relates two covering plays iff t relates their projections
+    (down . t . up), and both plays are nonempty.  Its state number n
     stands for a triple (d, q, u), kept for `written`: a state q of t with
     the numbers, in `covering.positions`, of the last covering position
     read (d) and written (u); -1 stands for before the first.  The initial
@@ -150,16 +150,16 @@ class LiftedRelation:
     accepts after both tapes hold a nonempty play.  So summaries over the
     view are sets of ints, and the view offers what the power construction
     reads of a relation: `initial`, `accepting`, `transitions_from` and
-    `written`.  Each state's moves are computed when `transitions_from`
-    first asks for them, and numbering a state past `cap` raises
-    CapExceeded(what, ...); `len` explores every reachable state once and
-    remembers the count.
+    `written`.  t may itself be a view.  Each state's moves are computed
+    when `transitions_from` first asks for them, in t's order, and
+    numbering a state past `cap` raises CapExceeded(what, ...); `len`
+    explores every reachable state once and remembers the count.
 
     Over a covering with a successor for every plain successor, as the
-    power arena has, the view is trim whenever t is trimmed and restricted
-    to pairs of plays.  The outcome arena keeps one edge at the strategy's
-    positions, so runs of t die there: strict `check_uniform` drops them
-    with `drop_dead_states`.
+    power arena has, the view is trim whenever t is trim.  Lifted onto
+    its own arena, or onto the outcome arena, which keeps one edge at the
+    strategy's positions, a relation has runs that die: `drop_dead_states`
+    drops them.
     """
 
     def __init__(self, t, covering: Arena, down, cap=None, what="lifted relation states"):
@@ -190,34 +190,36 @@ class LiftedRelation:
             self.accepting.add(n)
         return n
 
-    def _numbered_edges(self) -> dict:
-        """`covering_step` on position numbers; -1 numbers the point
-        before the initial position."""
-        index = self.covering.index
-        return {(-1 if o is None else index(o), v): index(o2)
-                for (o, v), o2 in covering_step(self.covering, self.down).items()}
+    def _successor_numbers(self) -> list:
+        """Row i maps the projection of each successor of covering
+        position i to that successor's number, and EPSILON to i itself;
+        the last row, which -1 indexes, holds the initial position, the
+        step from before the start."""
+        covering, down = self.covering, self.down
+        index = covering.index
+        rows = [{EPSILON: i} | {down(o2): index(o2) for o2 in covering.successors(o)}
+                for i, o in enumerate(covering.positions)]
+        rows.append({EPSILON: -1, down(covering.initial): index(covering.initial)})
+        return rows
 
     def transitions_from(self, state):
         moves = self._moves[state]
         if moves is not None:
             return moves
         if self._next is None:
-            self._next = self._numbered_edges()
-        step = self._next
+            self._next = self._successor_numbers()
         number = self._number
         positions = self.covering.positions
         d, q, u = self._triples[state]
+        reads, writes = self._next[d].get, self._next[u].get
         out = []
         for a, b, q2 in self.t.transitions_from(q):
-            d2, u2 = d, u
-            if a is not EPSILON:
-                d2 = step.get((d, a))
-                if d2 is None:
-                    continue
-            if b is not EPSILON:
-                u2 = step.get((u, b))
-                if u2 is None:
-                    continue
+            d2 = reads(a)
+            if d2 is None:
+                continue
+            u2 = writes(b)
+            if u2 is None:
+                continue
             triple = (d2, q2, u2)
             n = number.get(triple)
             if n is None:
@@ -241,7 +243,8 @@ class LiftedRelation:
         stays, as in `transducer.trim`.  Every numbered state is
         reachable and numbering appends, so walking the numbers in order
         explores the whole view under its cap; one backward pass from the
-        accepting numbers then finds the live ones."""
+        accepting numbers then finds the live ones.  No state is numbered
+        after that, so the view lets go of what numbering needs."""
         n = 0
         while n < len(self._moves):
             self.transitions_from(n)
@@ -255,7 +258,7 @@ class LiftedRelation:
             alive = set(found)
             for n, moves in enumerate(self._moves):
                 self._moves[n] = tuple(m for m in moves if m[2] in alive)
-        self._size = None
+        self._size = self._number = self._next = None
 
     def __len__(self):
         if self._size is None:

@@ -22,7 +22,7 @@ from .formula import Formula, r_depth
 from .ltlgame import Caps, DEFAULT_CAPS, solve_ltl_game
 from .marker import eliminate_r, trace_counterexample
 from .powerset import LiftedRelation
-from .transducer import Transducer, check_alphabet, restrict_to_plays
+from .transducer import check_alphabet, restrict_to_plays
 
 __all__ = [
     "FusInstance", "IterationStats", "SynthesisResult", "CheckResult",
@@ -34,29 +34,31 @@ __all__ = [
 class FusInstance:
     """One uniform-strategy problem: arena, play relation, formula, player.
 
-    The stored transducer must relate pairs of plays only, and its states
-    must record their last write (`Transducer.written`), as `make` makes
-    it: `make` rejects a malformed arena with its first `arena.validate`
-    diagnostic and a transducer symbol that is not a position, then
-    restricts the relation to plays with `restrict_to_plays`, whose states
-    are (last read, state, last written).  `make` is the one boundary:
-    the CLI and every encoder make their instances with it, and none
-    validates or restricts on its own.  Calling the constructor (or
-    `dataclasses.replace`) directly trusts the transducer as given.
+    The stored relation is a `LiftedRelation` onto the arena, which
+    relates pairs of plays only, as `make` makes it: `make` rejects a
+    malformed arena with its first `arena.validate` diagnostic and a
+    transducer symbol that is not a position, then restricts the relation
+    to plays with `restrict_to_plays`, numbering at most
+    caps.product_nodes states; the transducer given stays at
+    `transducer.t`.  `make` is the one boundary: the CLI and every
+    encoder make their instances with it, and none validates or restricts
+    on its own.  Calling the constructor (or `dataclasses.replace`)
+    directly trusts the relation as given.
     """
 
     arena: Arena
-    transducer: Transducer
+    transducer: LiftedRelation
     phi: Formula
     protagonist: int = 1
 
     @classmethod
-    def make(cls, arena, transducer, phi, protagonist=1):
+    def make(cls, arena, transducer, phi, protagonist=1, caps=DEFAULT_CAPS):
         diagnostics = validate(arena)
         if diagnostics:
             raise EncodingError(diagnostics[0])
         check_alphabet(transducer, arena)
-        return cls(arena, restrict_to_plays(transducer, arena), phi, protagonist)
+        return cls(arena, restrict_to_plays(transducer, arena, caps.product_nodes),
+                   phi, protagonist)
 
 
 class IterationStats:

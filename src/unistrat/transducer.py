@@ -54,12 +54,6 @@ class Transducer:
     def transitions_from(self, q):
         return self._from[q]
 
-    def written(self, q):
-        """The symbol last written on the way to q (None before the first
-        write), for a state that records it as `restrict_to_plays` makes
-        them: (last read, state, last written), which `trim` keeps."""
-        return q[2]
-
     def __len__(self):
         return len(self.states)
 
@@ -197,82 +191,20 @@ def check_alphabet(t: Transducer, arena: Arena) -> None:
             "arena position")
 
 
-def restrict_to_plays(t: Transducer, arena: Arena) -> Transducer:
-    """Intersect the relation with pairs of finite plays of the arena, and
-    trim the result.
+def restrict_to_plays(t: Transducer, arena: Arena, cap=None):
+    """The relation of t on pairs of nonempty finite plays of the arena,
+    trimmed: the lift of t onto the arena itself, with `down` the
+    identity, and its dead states dropped (see `powerset.LiftedRelation`).
 
-    Three-way product: both tapes are additionally run through a prefix
-    automaton of the arena (state = last position seen, None before the
-    first one); acceptance requires both tapes to hold nonempty plays.
-    Only product states that are reachable and reach acceptance are kept,
-    in breadth-first order, and the initial state always; both alphabets
-    are the arena's positions.
-
-    Each state of t has its moves indexed by symbol on first visit, so a
-    product state costs the moves the play automaton admits, not all moves
-    of its transducer state.  Transitions keep t's move order.
+    Its states are numbered, at most cap of them, each standing for a
+    state of t with the last position read and written; both tapes read
+    arena positions, and moves keep t's order.
     """
-    index: dict = {}
-    allowed = {None: frozenset([arena.initial] if arena.initial in arena else [])}
+    from .powerset import LiftedRelation   # powerset imports this module
 
-    def moves_of(q):
-        """(reads by input, epsilon-input writes by output, epsilon/epsilon),
-        each move carrying its rank in t.transitions_from(q)."""
-        moves = index.get(q)
-        if moves is None:
-            by_in, by_out, silent = {}, {}, []
-            for rank, (a, b, q2) in enumerate(t.transitions_from(q)):
-                move = (rank, a, b, q2)
-                if a is not EPSILON:
-                    by_in.setdefault(a, []).append(move)
-                elif b is not EPSILON:
-                    by_out.setdefault(b, []).append(move)
-                else:
-                    silent.append(move)
-            moves = index[q] = by_in, by_out, silent
-        return moves
-
-    def next_positions(last):
-        nxt = allowed.get(last)
-        if nxt is None:
-            nxt = allowed[last] = frozenset(arena.successors(last))
-        return nxt
-
-    product_moves: dict = {}
-
-    def successors(state):
-        s_in, q, s_out = state
-        by_in, by_out, silent = moves_of(q)
-        ins, outs = next_positions(s_in), next_positions(s_out)
-        # the rank sort restores t's move order, whatever the set order
-        matches = [m for v in ins for m in by_in.get(v, ())
-                   if m[2] is EPSILON or m[2] in outs]
-        matches += [m for v in outs for m in by_out.get(v, ())]
-        matches += silent
-        matches.sort()
-        moves = product_moves[state] = [
-            (a, b, (s_in if a is EPSILON else a, q2, s_out if b is EPSILON else b))
-            for _, a, b, q2 in matches]
-        return [tgt for _, _, tgt in moves]
-
-    def accepting(state):
-        return state[1] in t.accepting and state[0] is not None and state[2] is not None
-
-    init = (None, t.initial, None)
-    nodes, keep = live([init], successors, accepting)
-    keep.add(init)
-    states = [s for s in nodes if s in keep]
-    positions = frozenset(arena.positions)
-    return Transducer(
-        states=states,
-        input_alphabet=positions,
-        output_alphabet=positions,
-        initial=init,
-        accepting=[s for s in states if accepting(s)],
-        transitions=[(s, a, b, tgt) for s in states
-                     for a, b, tgt in product_moves[s] if tgt in keep],
-        name=f"{t.name}|plays",
-    )
+    relation = LiftedRelation(t, arena, lambda v: v, cap, "play relation states")
+    relation.drop_dead_states()
+    return relation
 
 
 def position_groups(arena: Arena, blocks) -> list:

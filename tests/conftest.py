@@ -11,6 +11,7 @@ import pytest
 
 import unistrat
 from unistrat.arena import Arena, Strategy, covering_step
+from unistrat.graph import reachable
 from unistrat.transducer import EPSILON, Transducer
 
 
@@ -95,6 +96,28 @@ def play_projection_transducers(arena: Arena, project, plain_alphabet=None) -> t
     t_up = Transducer(states, plain, structured, start, list(arena.positions),
                       up, name="up")
     return t_down, t_up
+
+
+def materialized(view) -> Transducer:
+    """The reachable part of a relation view (`restrict_to_plays`,
+    `lift_transducer`) as a `Transducer` with the same int states, over
+    the positions of the arena it covers: what a reference composes,
+    trims or prints."""
+    states, _, _ = reachable([view.initial],
+                             lambda s: [s2 for _, _, s2 in view.transitions_from(s)])
+    transitions = [(s, a, b, s2) for s in states
+                   for a, b, s2 in view.transitions_from(s)]
+    alphabet = frozenset(view.covering.positions)
+    return Transducer(states, alphabet, alphabet, view.initial,
+                      [s for s in states if s in view.accepting], transitions)
+
+
+def unnumbered(view, q) -> tuple:
+    """(last position read, state of view.t, last position written) that
+    state q of a view stands for, None before the first read or write."""
+    d, state, u = view._triples[q]
+    positions = view.covering.positions
+    return (None if d < 0 else positions[d], state, None if u < 0 else positions[u])
 
 
 def lift_play(power, play) -> tuple:

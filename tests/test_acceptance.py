@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from conftest import (child_env, info_set_bruteforce, lassos_of, lift_play,
-                      make_branching, make_g0, positional_strategies,
-                      plays_up_to, random_arena, random_transducer)
+                      make_branching, make_g0, materialized,
+                      positional_strategies, plays_up_to, random_arena,
+                      random_transducer)
 from unistrat.arena import Arena, Strategy, outcome_arena
 from unistrat.encoders import (encode_dependence_game, encode_diagnosability,
                                encode_imperfect_info, encode_noninterference,
@@ -71,10 +72,11 @@ def sampled_instances(seed, count=50):
 
 def test_sampled_instances_independent_of_hash_seed():
     """Acceptance 1 and 2 must check the same instances on every run."""
-    script = ("from test_acceptance import sampled_instances\n"
+    script = ("from conftest import materialized\n"
+              "from test_acceptance import sampled_instances\n"
               "from unistrat.transducer import format_transducer\n"
               "for _, t in sampled_instances(11, 50):\n"
-              "    print(format_transducer(t))\n")
+              "    print(format_transducer(materialized(t)))\n")
     texts = set()
     for seed in ("2", "34"):
         env = child_env(Path(__file__).parent, PYTHONHASHSEED=seed)
@@ -309,8 +311,8 @@ def test_acceptance_4_elimination_transfer():
         lassos += [x for x in lassos_of(inst.arena, max_visits=2, limit=80)
                    if x not in lassos]
         for stem, cycle in lassos:
-            want = bounded_semantics(inst.arena, inst.transducer, "all",
-                                     (stem, cycle), 0, inst.phi)
+            want = bounded_semantics(inst.arena, materialized(inst.transducer),
+                                     "all", (stem, cycle), 0, inst.phi)
             if want is None:
                 skipped += 1
                 continue

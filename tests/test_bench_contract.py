@@ -13,7 +13,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from conftest import make_branching, positional_strategies
+from conftest import make_branching, materialized, positional_strategies
 import unistrat.ltlgame as ltlgame
 from unistrat import marker, powerset
 from unistrat.arena import outcome_arena
@@ -90,7 +90,7 @@ def test_span_attrs_count_every_other_traced_result():
     outcome = outcome_arena(arena, sigma)
     assert tracing._attrs("arena.outcome_arena", (arena, sigma), {}, outcome) \
         == {"positions": 3}
-    t = restrict_to_plays(length_transducer(arena.positions), arena)
+    t = materialized(restrict_to_plays(length_transducer(arena.positions), arena))
     composed = compose(t, t)
     assert tracing._attrs("transducer.compose", (t, t), {}, composed) \
         == {"states": len(composed.states)}

@@ -1,6 +1,8 @@
 import hashlib
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +124,16 @@ def test_solve_cap_exceeded_exit_2(g0_files, capsys):
     assert "cap" in stderr
 
 
+def test_solve_caps_play_relation(g0_files, capsys):
+    # the identity relation restricted to the plays of G0 has 3 states
+    arena, fst = g0_files
+    code, stdout, stderr = run_cli(
+        ["solve", arena, fst, "[R] p", "--max-product", "2"], capsys)
+    assert code == 2
+    assert "play relation states: 3 exceeds cap 2" in stderr
+    assert stdout == ""
+
+
 def test_solve_missing_formula(g0_files, capsys):
     arena, fst = g0_files
     code, _, stderr = run_cli(["solve", arena, fst], capsys)
@@ -153,6 +165,38 @@ def test_check_pass_and_fail(g0_files, tmp_path, capsys):
     assert code == 1
     assert "counterexample=v0" in stdout
     assert "violated=" in stdout
+
+
+def test_check_rejects_non_numeric_player(g0_files, tmp_path, capsys):
+    arena, fst = g0_files
+    strategy = tmp_path / "bad.strategy"
+    strategy.write_text(STRATEGY_G0.replace("player=1", "player=one"))
+    code, stdout, stderr = run_cli(
+        ["check", arena, fst, "[R] p", str(strategy), "--mode", "full"], capsys)
+    assert code == 2
+    assert "strategy needs player=1 or player=2" in stderr
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("framework, text", [
+    ("impinfo", "impgame\nstate\n"),
+    ("impinfo", "impgame\nstate s0 init\naction\n"),
+    ("impinfo", "impgame\nstate s0 init\naction a\ntrans s0 a s0\nobs\n"),
+    ("diag", "des\nstate\n"),
+    ("diag", "des\nstate s0 init\nevent\n"),
+    ("noninterference", "nisys\nin\n"),
+    ("noninterference", "nisys\nin h high\nout\n"),
+], ids=["impgame-state", "impgame-action", "impgame-obs", "des-state", "des-event",
+        "nisys-in", "nisys-out"])
+def test_encode_rejects_line_without_operand(tmp_path, capsys, framework, text):
+    # the last line lacks its operand: malformed input (exit 2), naming it
+    source = tmp_path / "system.txt"
+    source.write_text(text)
+    code, stdout, stderr = run_cli(
+        ["encode", framework, str(source), "--out-prefix", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert stderr.startswith(f"error: line {text.count(chr(10))}: ")
+    assert stdout == ""
 
 
 def test_encode_diag_solve_round_trip(tmp_path, capsys):
@@ -358,11 +402,11 @@ def test_dump_honours_caps(g0_files, capsys):
     assert code == 2
     assert "marker product nodes" in stderr
     assert stdout == ""
-    # the two seeds of the product alone exceed the cap
+    # the play relation, of 3 states here, is capped before the marker runs
     code, stdout, stderr = run_cli(["dump", "marking", arena, fst, "[R] F p",
                                     "--max-product", "1"], capsys)
     assert code == 2
-    assert "marker product nodes: 2 exceeds cap 1" in stderr
+    assert "play relation states: 2 exceeds cap 1" in stderr
     assert stdout == ""
 
 
@@ -406,6 +450,20 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "solve" in proc.stdout
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library entry points", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    (tmp_path / "game.arena").write_text(ARENA_G0)
+    (tmp_path / "game.fst").write_text(FST_ID)
+    (tmp_path / "game.strategy").write_text(STRATEGY_G0)
+    monkeypatch.chdir(tmp_path)
+    names: dict = {}
+    exec(block, names)
+    assert names["result"].verdict == "exists"
+    assert names["check"].ok
 
 
 def test_solve_then_check_written_strategy(g0_files, tmp_path, capsys):
@@ -555,6 +613,6 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
     # power arena text, pinned: positions, order, states and information sets
     digests = {name: hashlib.sha256(outs.pop().encode()).hexdigest()[:16]
                for name, outs in dump_stdouts.items() if name.endswith("powerset")}
-    assert digests == {"diag powerset": "c8a074b49c39c252",
-                       "length powerset": "54a7be571af531a2",
-                       "identity powerset": "9c21b83bc79e0bb5"}
+    assert digests == {"diag powerset": "357ff9760b9a9740",
+                       "length powerset": "9b613279c4f82b9e",
+                       "identity powerset": "66305dad7f32397a"}

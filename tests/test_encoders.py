@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import plays_up_to, positional_strategies
+from conftest import materialized, plays_up_to, positional_strategies
 from unistrat.arena import Strategy, format_strategy, validate
 from unistrat.encoders import (ImpGame, _des_arena, _obs_partition,
                                encode_dependence_game,
@@ -23,7 +23,7 @@ from unistrat.synthesizer import (FusInstance, check_uniform,
                                   synthesize_fully_uniform)
 from unistrat.transducer import (EPSILON, Transducer, build_morphism_equivalence,
                                  compose, position_groups, recognizes,
-                                 restrict_to_plays, trim)
+                                 restrict_to_plays)
 
 IMP_TOY = """
 impgame
@@ -592,7 +592,7 @@ def _composed_des_relation(arena, h, target):
     """Play-restricted morphism equivalence, composed with a filter on the
     written word's last position, and restricted again so that its states
     record their last write."""
-    t = restrict_to_plays(build_morphism_equivalence(arena, h), arena)
+    t = materialized(restrict_to_plays(build_morphism_equivalence(arena, h), arena))
     return restrict_to_plays(compose(t, _filter(arena, target.__contains__, "ends-in")),
                              arena)
 
@@ -607,7 +607,7 @@ def _composed_shift_relation(arena, blocks):
     shift = Transducer(["s0", "s1"], positions, positions, "s0", ["s1"],
                        transitions, name="obs-shift")
     ends_p1 = _filter(arena, lambda v: arena.owner[v] == 1, "ends-p1")
-    return trim(restrict_to_plays(compose(ends_p1, shift), arena))
+    return restrict_to_plays(compose(ends_p1, shift), arena)
 
 
 def _power_shape(inst):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import lassos_of, lift_play, make_branching, make_g0, random_arena
+from conftest import (lassos_of, lift_play, make_branching, make_g0,
+                      materialized, random_arena)
 from unistrat.arena import Arena
 from unistrat.errors import CapExceeded
 from unistrat.formula import (Atom, Not, R, atoms, format_formula, holds,
@@ -14,11 +15,7 @@ from unistrat.marker import (eliminate_r, format_marking_report,
                              trace_counterexample)
 from unistrat.oracle import bounded_semantics, lasso_eval
 from unistrat.transducer import (identity_transducer, length_transducer,
-                                 restrict_to_plays, trim)
-
-
-def restricted(t, arena):
-    return trim(restrict_to_plays(t, arena))
+                                 restrict_to_plays)
 
 
 def test_position_models_single_lasso():
@@ -178,7 +175,7 @@ def test_shaped_bodies_skip_the_automaton(monkeypatch):
 
     monkeypatch.setattr(marker, "ltl_to_nba", counted)
     arena = make_branching()
-    t = restricted(identity_transducer(arena.positions), arena)
+    t = restrict_to_plays(identity_transducer(arena.positions), arena)
     for text in ("[R](G F p & G F q)", "[R] X p"):
         eliminate_r(arena, t, parse(text))
     assert calls == []
@@ -245,7 +242,7 @@ def test_muller_body_shape_worked_out_once(monkeypatch):
 
     monkeypatch.setattr(marker, "muller_condition", counted)
     arena = make_branching()
-    t = restricted(identity_transducer(arena.positions), arena)
+    t = restrict_to_plays(identity_transducer(arena.positions), arena)
     _, _, _, report = eliminate_r(arena, t, parse("[R](G F p & G F q)"))
     assert list(report.methods.values()) == ["muller"]
     assert len(calls) == 1
@@ -253,7 +250,7 @@ def test_muller_body_shape_worked_out_once(monkeypatch):
 
 def test_marking_report_says_how_each_body_was_decided():
     arena = make_branching()
-    t = restricted(identity_transducer(arena.positions), arena)
+    t = restrict_to_plays(identity_transducer(arena.positions), arena)
     phi = parse("[R] p & [R] X p & [R] G F p & [R](p U q)")
     _, _, _, report = eliminate_r(arena, t, phi)
     by_source = {format_formula(report.atom_sources[name].sub): method
@@ -269,7 +266,7 @@ def test_marking_report_says_how_each_body_was_decided():
 
 def test_eliminate_r_true_marks_everything():
     g0 = make_g0()
-    t = restricted(identity_transducer(g0.positions), g0)
+    t = restrict_to_plays(identity_transducer(g0.positions), g0)
     marked, lifted, phi_hat, report = eliminate_r(g0, t, parse("[R] true"))
     name = next(iter(report.atom_sources))
     assert report.marked_positions[name] == frozenset(marked.positions)
@@ -279,7 +276,7 @@ def test_eliminate_r_true_marks_everything():
 
 def test_eliminate_r_depth_two_single_pass():
     g0 = make_g0()
-    t = restricted(identity_transducer(g0.positions), g0)
+    t = restrict_to_plays(identity_transducer(g0.positions), g0)
     marked, lifted, phi_hat, report = eliminate_r(g0, t, parse("[R] X [R] q"))
     assert r_depth(phi_hat) == 1
     assert len(report.atom_sources) == 1
@@ -289,7 +286,7 @@ def test_eliminate_r_depth_two_single_pass():
 
 def test_marking_agrees_with_per_position_checks():
     arena = make_branching()
-    t = restricted(length_transducer(arena.positions), arena)
+    t = restrict_to_plays(length_transducer(arena.positions), arena)
     phi = parse("G([R] p | [R] !p)")
     marked, lifted, phi_hat, report = eliminate_r(arena, t, phi)
     for name, source in report.atom_sources.items():
@@ -322,11 +319,12 @@ def test_elimination_transfer_on_lassos():
     ]
     for arena, raw, text in fixtures:
         phi = parse(text)
-        t = restricted(raw, arena)
+        t = restrict_to_plays(raw, arena)
         marked, lifted, phi_hat, report = eliminate_r(arena, t, phi)
         power = report.power
+        reference = materialized(t)
         for stem, cycle in lassos_of(arena):
-            want = bounded_semantics(arena, t, "all", (stem, cycle), 0, phi)
+            want = bounded_semantics(arena, reference, "all", (stem, cycle), 0, phi)
             if want is None:
                 continue
             hat = lift_play(power, tuple(stem) + tuple(cycle))
@@ -338,7 +336,7 @@ def test_elimination_transfer_on_lassos():
 
 def test_marks_do_not_interact():
     arena = make_branching()
-    t = restricted(length_transducer(arena.positions), arena)
+    t = restrict_to_plays(length_transducer(arena.positions), arena)
     phi = parse("([R] p) & ([R] !p)")
     _, _, _, both = eliminate_r(arena, t, phi)
     solo_p = eliminate_r(arena, t, parse("[R] p"))[3]
@@ -354,7 +352,7 @@ def test_marks_do_not_interact():
 
 def test_marking_report_dump_is_deterministic():
     g0 = make_g0()
-    t = restricted(identity_transducer(g0.positions), g0)
+    t = restrict_to_plays(identity_transducer(g0.positions), g0)
     reports = [eliminate_r(g0, t, parse("[R] p"))[3] for _ in range(2)]
     texts = [format_marking_report(r) for r in reports]
     assert texts[0] == texts[1]

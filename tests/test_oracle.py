@@ -1,13 +1,13 @@
 import pytest
 
-from conftest import make_branching, make_g0
+from conftest import make_branching, make_g0, materialized
 from unistrat.arena import Strategy
 from unistrat.encoders import parse_des, parse_dlgame
 from unistrat.formula import And, Atom, Next, Not, Until, parse
 from unistrat.oracle import (bounded_semantics, dl_eval, lasso_eval,
                              twin_plant_diagnosable)
 from unistrat.transducer import (Transducer, identity_transducer,
-                                 length_transducer, restrict_to_plays, trim)
+                                 length_transducer, restrict_to_plays)
 
 
 def test_lasso_eval_examples():
@@ -175,7 +175,7 @@ rel E 1,0
 
 
 def restricted(t, arena):
-    return trim(restrict_to_plays(t, arena))
+    return materialized(restrict_to_plays(t, arena))
 
 
 def test_bounded_semantics_identity_relation():

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from conftest import (make_branching, make_g0, play_projection_transducers,
-                      plays_up_to, random_arena, random_transducer)
+from conftest import (make_branching, make_g0, materialized,
+                      play_projection_transducers, plays_up_to, random_arena,
+                      random_transducer, unnumbered)
 from unistrat.arena import Arena
 from unistrat.errors import EncodingError, InputFormatError
 from unistrat.transducer import (EPSILON, Transducer,
@@ -171,10 +172,10 @@ def test_restrict_relates_only_play_pairs(rng):
 
 
 def test_restrict_keeps_move_order():
-    """States come out breadth-first and each state's moves in t's order,
-    not in the arena's successor order nor grouped by tape; states that
-    reach no acceptance, here (None, q0, v0) and (None, q0, a), are
-    trimmed with their moves."""
+    """States are numbered breadth-first and each state's moves come in
+    t's order, not in the arena's successor order nor grouped by tape;
+    numbers 1 and 3, (None, q0, v0) and (None, q0, a), reach no
+    acceptance, so no move leads there."""
     arena = make_branching()  # successors of v0: a, b
     positions = frozenset(arena.positions)
     t = Transducer(["q0"], positions, positions, "q0", ["q0"], [
@@ -186,13 +187,14 @@ def test_restrict_keeps_move_order():
         ("q0", EPSILON, EPSILON, "q0"),
     ], name="order")
     r = restrict_to_plays(t, arena)
-    s = [(None, "q0", None), ("v0", "q0", "v0"), ("b", "q0", "v0"),
-         ("v0", "q0", "a"), ("a", "q0", "b"), ("b", "q0", "a")]
-    assert r.name == "order|plays"
-    assert r.states == tuple(s)
+    m = materialized(r)
+    s = m.states
+    assert s == (0, 2, 4, 5, 6, 7)
+    assert [unnumbered(r, q) for q in s] == [
+        (None, "q0", None), ("v0", "q0", "v0"), ("b", "q0", "v0"),
+        ("v0", "q0", "a"), ("a", "q0", "b"), ("b", "q0", "a")]
     assert r.accepting == set(s[1:])
-    assert r.input_alphabet == r.output_alphabet == positions
-    assert r.transitions == (
+    assert m.transitions == (
         (s[0], "v0", "v0", s[1]), (s[0], EPSILON, EPSILON, s[0]),
         (s[1], "b", EPSILON, s[2]), (s[1], EPSILON, "a", s[3]),
         (s[1], "a", "b", s[4]), (s[1], EPSILON, EPSILON, s[1]),
