@@ -219,13 +219,30 @@ def enumerate_plays(arena: Arena, length: int) -> list[tuple]:
 # ---------------------------------------------------------------------------
 # Text formats
 
-def _tokens(text):
-    """(line number, words) for each line of a text format that holds
-    more than a `#` comment."""
+def _directives(text, grammar):
+    """(line number, directive, operands) for each line of a text format
+    that holds more than a `#` comment: the line's first word, then the
+    words after it.
+
+    grammar maps each directive of the format to the (fewest, most)
+    operands it takes, most=None for no limit.  A directive missing from
+    grammar, or a count of operands outside its range, raises
+    InputFormatError naming the line.
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+        words = raw.split("#", 1)[0].split()
+        if not words:
+            continue
+        kind, operands = words[0], words[1:]
+        if kind not in grammar:
+            raise InputFormatError(f"unknown directive {kind!r}", lineno)
+        fewest, most = grammar[kind]
+        if len(operands) < fewest or most is not None and len(operands) > most:
+            takes = (f"at least {fewest}" if most is None
+                     else f"{fewest}" if fewest == most else f"{fewest} to {most}")
+            raise InputFormatError(
+                f"{kind} takes {takes} operand(s), found {len(operands)}", lineno)
+        yield lineno, kind, operands
 
 
 def parse_arena(text: str) -> Arena:
@@ -239,17 +256,15 @@ def parse_arena(text: str) -> Arena:
     name = "arena"
     positions, owner, labels, edges = [], {}, {}, []
     initial = None
-    for lineno, parts in _tokens(text):
-        kind = parts[0]
+    for lineno, kind, ops in _directives(text, {
+            "arena": (0, 1), "pos": (1, None), "edge": (2, 2), "init": (1, 1)}):
         if kind == "arena":
-            name = parts[1] if len(parts) > 1 else name
+            name = ops[0] if ops else name
         elif kind == "pos":
-            if len(parts) < 2:
-                raise InputFormatError("pos line needs an identifier", lineno)
-            ident = parts[1]
+            ident = ops[0]
             own = None
             labs: frozenset = frozenset()
-            for field in parts[2:]:
+            for field in ops[1:]:
                 if field.startswith("owner="):
                     own = field[len("owner="):]
                 elif field.startswith("labels="):
@@ -263,15 +278,9 @@ def parse_arena(text: str) -> Arena:
             owner[ident] = int(own)
             labels[ident] = labs
         elif kind == "edge":
-            if len(parts) != 3:
-                raise InputFormatError("edge line needs source and destination", lineno)
-            edges.append((parts[1], parts[2]))
+            edges.append((ops[0], ops[1]))
         elif kind == "init":
-            if len(parts) != 2:
-                raise InputFormatError("init line needs an identifier", lineno)
-            initial = parts[1]
-        else:
-            raise InputFormatError(f"unknown directive {kind!r}", lineno)
+            initial = ops[0]
     if initial is None:
         raise InputFormatError("missing init line")
     undeclared = [s for e in edges for s in e if s not in owner]
@@ -310,10 +319,10 @@ def parse_strategy(text: str) -> Strategy:
     initial = None
     declared: list[str] = []
     update, choice = {}, {}
-    for lineno, parts in _tokens(text):
-        kind = parts[0]
+    for lineno, kind, ops in _directives(text, {
+            "strategy": (0, None), "upd": (4, 4), "choose": (4, 4)}):
         if kind == "strategy":
-            for field in parts[1:]:
+            for field in ops:
                 if field.startswith("player="):
                     player = field[len("player="):]
                 elif field.startswith("memory="):
@@ -323,15 +332,13 @@ def parse_strategy(text: str) -> Strategy:
                 else:
                     raise InputFormatError(f"unknown strategy field {field!r}", lineno)
         elif kind in ("upd", "choose"):
-            if len(parts) != 5 or parts[3] != "->":
+            if ops[2] != "->":
                 raise InputFormatError(f"malformed {kind} line", lineno)
-            key = (parts[1], parts[2])
+            key = (ops[0], ops[1])
             if kind == "upd":
-                update[key] = parts[4]
+                update[key] = ops[3]
             else:
-                choice[key] = parts[4]
-        else:
-            raise InputFormatError(f"unknown directive {kind!r}", lineno)
+                choice[key] = ops[3]
     if player not in ("1", "2"):
         raise InputFormatError("strategy needs player=1 or player=2")
     if initial is None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .arena import Arena, Strategy, _tokens
+from .arena import Arena, Strategy, _directives
 from .errors import EncodingError, InputFormatError
 from .formula import MAX_DEPTH, parse as parse_formula
 from .graph import reachable
@@ -46,13 +46,6 @@ def _check_name(kind, name, lineno=None):
         raise InputFormatError(f"{kind} name {name!r} must be alphanumeric", lineno)
 
 
-def _check_declared(kind, parts, lineno):
-    """Check the name that a declaring line, such as `state s0`, gives."""
-    if len(parts) < 2:
-        raise InputFormatError(f"{parts[0]} line needs a {kind} name", lineno)
-    _check_name(kind, parts[1], lineno)
-
-
 # ---------------------------------------------------------------------------
 # Imperfect information (and opacity)
 
@@ -72,33 +65,26 @@ def parse_impgame(text: str) -> ImpGame:
     trans: dict = {}
     obs_blocks = []
     initial = None
-    for lineno, parts in _tokens(text):
-        kind = parts[0]
-        if kind == "impgame":
-            continue
+    for lineno, kind, ops in _directives(text, {
+            "impgame": (0, 0), "state": (1, None), "action": (1, 1),
+            "trans": (3, 3), "obs": (1, None)}):
         if kind == "state":
-            _check_declared("state", parts, lineno)
-            states.append(parts[1])
-            for flag in parts[2:]:
+            _check_name("state", ops[0], lineno)
+            states.append(ops[0])
+            for flag in ops[1:]:
                 if flag == "init":
-                    initial = parts[1]
+                    initial = ops[0]
                 elif flag == "secret":
-                    secrets.add(parts[1])
+                    secrets.add(ops[0])
                 else:
                     raise InputFormatError(f"unknown state flag {flag!r}", lineno)
         elif kind == "action":
-            _check_declared("action", parts, lineno)
-            actions.append(parts[1])
+            _check_name("action", ops[0], lineno)
+            actions.append(ops[0])
         elif kind == "trans":
-            if len(parts) != 4:
-                raise InputFormatError("trans needs <state> <action> <state>", lineno)
-            trans.setdefault((parts[1], parts[2]), []).append(parts[3])
+            trans.setdefault((ops[0], ops[1]), []).append(ops[2])
         elif kind == "obs":
-            if len(parts) < 2:
-                raise InputFormatError("obs line needs at least one state", lineno)
-            obs_blocks.append(tuple(parts[1:]))
-        else:
-            raise InputFormatError(f"unknown directive {kind!r}", lineno)
+            obs_blocks.append(tuple(ops))
     if initial is None:
         raise InputFormatError("impgame needs a state marked init")
     for (s, a), targets in trans.items():
@@ -273,24 +259,21 @@ def parse_nisys(text: str) -> NiSystem:
                 f"valuation mentions undeclared variable {sorted(unknown)[0]!r}", lineno)
         return vals
 
-    for lineno, parts in _tokens(text):
-        kind = parts[0]
-        if kind == "nisys":
-            continue
+    for lineno, kind, ops in _directives(text, {
+            "nisys": (0, 0), "in": (1, 2), "out": (1, 1), "trans": (3, 3),
+            "output": (2, 2)}):
         if kind == "in":
-            _check_declared("input variable", parts, lineno)
-            inputs.append(parts[1])
-            if len(parts) > 2:
-                if parts[2] != "high":
-                    raise InputFormatError(f"unknown input flag {parts[2]!r}", lineno)
-                high.add(parts[1])
+            _check_name("input variable", ops[0], lineno)
+            inputs.append(ops[0])
+            if len(ops) > 1:
+                if ops[1] != "high":
+                    raise InputFormatError(f"unknown input flag {ops[1]!r}", lineno)
+                high.add(ops[0])
         elif kind == "out":
-            _check_declared("output variable", parts, lineno)
-            outputs.append(parts[1])
+            _check_name("output variable", ops[0], lineno)
+            outputs.append(ops[0])
         elif kind == "trans":
-            if len(parts) != 4:
-                raise InputFormatError("trans needs <state> <valuation> <state>", lineno)
-            s, val, s2 = parts[1], valuation(parts[2], lineno, inputs), parts[3]
+            s, val, s2 = ops[0], valuation(ops[1], lineno, inputs), ops[2]
             for st in (s, s2):
                 if st not in states:
                     _check_name("state", st, lineno)
@@ -301,11 +284,7 @@ def parse_nisys(text: str) -> NiSystem:
                 raise InputFormatError(f"duplicate transition from {s!r}", lineno)
             trans[(s, val)] = s2
         elif kind == "output":
-            if len(parts) != 3:
-                raise InputFormatError("output needs <state> <valuation>", lineno)
-            output[parts[1]] = valuation(parts[2], lineno, outputs)
-        else:
-            raise InputFormatError(f"unknown directive {kind!r}", lineno)
+            output[ops[0]] = valuation(ops[1], lineno, outputs)
     if initial is None:
         raise InputFormatError("nisys needs at least one transition")
     return NiSystem(tuple(inputs), frozenset(high), tuple(outputs),
@@ -429,33 +408,27 @@ def parse_des(text: str) -> DesSystem:
     states, events, trans = [], [], []
     observable, faulty = set(), set()
     initial = None
-    for lineno, parts in _tokens(text):
-        kind = parts[0]
-        if kind == "des":
-            continue
+    for lineno, kind, ops in _directives(text, {
+            "des": (0, 0), "state": (1, None), "event": (1, 2), "trans": (3, 3)}):
         if kind == "state":
-            _check_declared("state", parts, lineno)
-            states.append(parts[1])
-            for flag in parts[2:]:
+            _check_name("state", ops[0], lineno)
+            states.append(ops[0])
+            for flag in ops[1:]:
                 if flag == "init":
-                    initial = parts[1]
+                    initial = ops[0]
                 elif flag == "faulty":
-                    faulty.add(parts[1])
+                    faulty.add(ops[0])
                 else:
                     raise InputFormatError(f"unknown state flag {flag!r}", lineno)
         elif kind == "event":
-            _check_declared("event", parts, lineno)
-            events.append(parts[1])
-            if len(parts) > 2:
-                if parts[2] != "obs":
-                    raise InputFormatError(f"unknown event flag {parts[2]!r}", lineno)
-                observable.add(parts[1])
+            _check_name("event", ops[0], lineno)
+            events.append(ops[0])
+            if len(ops) > 1:
+                if ops[1] != "obs":
+                    raise InputFormatError(f"unknown event flag {ops[1]!r}", lineno)
+                observable.add(ops[0])
         elif kind == "trans":
-            if len(parts) != 4:
-                raise InputFormatError("trans needs <state> <event> <state>", lineno)
-            trans.append((parts[1], parts[2], parts[3]))
-        else:
-            raise InputFormatError(f"unknown directive {kind!r}", lineno)
+            trans.append((ops[0], ops[1], ops[2]))
     if initial is None:
         raise InputFormatError("des needs a state marked init")
     for s, e, s2 in trans:
@@ -748,22 +721,19 @@ def parse_dlgame(text: str) -> tuple:
     sentence_text = None
     domain = None
     relations: dict = {}
-    for lineno, parts in _tokens(text):
-        kind = parts[0]
-        if kind == "dlgame":
-            continue
+    for lineno, kind, ops in _directives(text, {
+            "dlgame": (0, 0), "sentence": (0, None), "dom": (0, None),
+            "rel": (1, None)}):
         if kind == "sentence":
-            sentence_text = " ".join(parts[1:])
+            sentence_text = " ".join(ops)
         elif kind == "dom":
-            domain = tuple(x for x in " ".join(parts[1:]).split(",") if x)
+            domain = tuple(x for x in " ".join(ops).split(",") if x)
             for d in domain:
                 _check_name("domain element", d, lineno)
         elif kind == "rel":
-            name = parts[1]
-            tup = tuple(x for x in " ".join(parts[2:]).split(",") if x)
+            name = ops[0]
+            tup = tuple(x for x in " ".join(ops[1:]).split(",") if x)
             relations.setdefault(name, set()).add(tup)
-        else:
-            raise InputFormatError(f"unknown directive {kind!r}", lineno)
     if sentence_text is None or domain is None:
         raise InputFormatError("dlgame needs sentence and dom lines")
     sentence = parse_dl_sentence(sentence_text)

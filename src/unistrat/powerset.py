@@ -230,9 +230,10 @@ class LiftedRelation:
         return moves
 
     def written(self, state):
-        """The covering position the state last wrote; the state must
-        have written one, as accepting states have."""
-        return self.covering.positions[self._triples[state][2]]
+        """The covering position the state last wrote, or None if it has
+        written none yet; accepting states have written one."""
+        u = self._triples[state][2]
+        return None if u < 0 else self.covering.positions[u]
 
     def _targets(self, state):
         return [n for _, _, n in self.transitions_from(state)]

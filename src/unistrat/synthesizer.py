@@ -39,7 +39,7 @@ class FusInstance:
     malformed arena with its first `arena.validate` diagnostic and a
     transducer symbol that is not a position, then restricts the relation
     to plays with `restrict_to_plays`, numbering at most
-    caps.product_nodes states; the transducer given stays at
+    caps.product_nodes states; the transducer given, trimmed, stays at
     `transducer.t`.  `make` is the one boundary: the CLI and every
     encoder make their instances with it, and none validates or restricts
     on its own.  Calling the constructor (or `dataclasses.replace`)

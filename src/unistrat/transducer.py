@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .arena import Arena, _tokens
+from .arena import Arena, _directives, _pos_id
 from .errors import EncodingError, InputFormatError
 from .graph import live
 
@@ -147,11 +147,14 @@ def trim(t: Transducer) -> Transducer:
     """Remove states that are unreachable or cannot reach acceptance.
 
     Preserves the recognized relation and the order of states and
-    transitions; the initial state is always kept.
+    transitions; the initial state is always kept.  Returns t itself
+    when it would keep every state.
     """
     _, keep = live([t.initial], lambda q: [q2 for _, _, q2 in t.transitions_from(q)],
                    t.accepting.__contains__)
     keep.add(t.initial)
+    if len(keep) == len(t.states):
+        return t
     return Transducer(
         states=[q for q in t.states if q in keep],
         input_alphabet=t.input_alphabet,
@@ -193,8 +196,10 @@ def check_alphabet(t: Transducer, arena: Arena) -> None:
 
 def restrict_to_plays(t: Transducer, arena: Arena, cap=None):
     """The relation of t on pairs of nonempty finite plays of the arena,
-    trimmed: the lift of t onto the arena itself, with `down` the
+    trimmed: the lift of trim(t) onto the arena itself, with `down` the
     identity, and its dead states dropped (see `powerset.LiftedRelation`).
+    Trimming t first spares the lift the runs through t's own dead
+    states.
 
     Its states are numbered, at most cap of them, each standing for a
     state of t with the last position read and written; both tapes read
@@ -202,7 +207,7 @@ def restrict_to_plays(t: Transducer, arena: Arena, cap=None):
     """
     from .powerset import LiftedRelation   # powerset imports this module
 
-    relation = LiftedRelation(t, arena, lambda v: v, cap, "play relation states")
+    relation = LiftedRelation(trim(t), arena, lambda v: v, cap, "play relation states")
     relation.drop_dead_states()
     return relation
 
@@ -315,16 +320,14 @@ def parse_transducer(text: str) -> Transducer:
     name = "fst"
     states, accepting, transitions = [], [], []
     initial = None
-    for lineno, parts in _tokens(text):
-        kind = parts[0]
+    for lineno, kind, ops in _directives(text, {
+            "fst": (0, 1), "state": (1, None), "trans": (4, 4)}):
         if kind == "fst":
-            name = parts[1] if len(parts) > 1 else name
+            name = ops[0] if ops else name
         elif kind == "state":
-            if len(parts) < 2:
-                raise InputFormatError("state line needs an identifier", lineno)
-            ident = parts[1]
+            ident = ops[0]
             states.append(ident)
-            for flag in parts[2:]:
+            for flag in ops[1:]:
                 if flag == "init":
                     initial = ident
                 elif flag == "accept":
@@ -332,13 +335,9 @@ def parse_transducer(text: str) -> Transducer:
                 else:
                     raise InputFormatError(f"unknown state flag {flag!r}", lineno)
         elif kind == "trans":
-            if len(parts) != 5:
-                raise InputFormatError("trans line needs <q> <in> <out> <q'>", lineno)
-            a = None if parts[2] == "-" else parts[2]
-            b = None if parts[3] == "-" else parts[3]
-            transitions.append((parts[1], a, b, parts[4]))
-        else:
-            raise InputFormatError(f"unknown directive {kind!r}", lineno)
+            a = None if ops[1] == "-" else ops[1]
+            b = None if ops[2] == "-" else ops[2]
+            transitions.append((ops[0], a, b, ops[3]))
     if initial is None:
         raise InputFormatError("missing init state")
     inputs = {a for _, a, _, _ in transitions if a is not None}
@@ -347,9 +346,6 @@ def parse_transducer(text: str) -> Transducer:
 
 
 def format_transducer(t: Transducer) -> str:
-    def sid(q):
-        return "".join(str(q).split())
-
     lines = [f"fst {t.name}"]
     for q in t.states:
         flags = ""
@@ -357,9 +353,9 @@ def format_transducer(t: Transducer) -> str:
             flags += " init"
         if q in t.accepting:
             flags += " accept"
-        lines.append(f"state {sid(q)}{flags}")
+        lines.append(f"state {_pos_id(q)}{flags}")
     for q, a, b, q2 in t.transitions:
-        sa = "-" if a is None else "".join(str(a).split())
-        sb = "-" if b is None else "".join(str(b).split())
-        lines.append(f"trans {sid(q)} {sa} {sb} {sid(q2)}")
+        sa = "-" if a is None else _pos_id(a)
+        sb = "-" if b is None else _pos_id(b)
+        lines.append(f"trans {_pos_id(q)} {sa} {sb} {_pos_id(q2)}")
     return "\n".join(lines) + "\n"

@@ -115,9 +115,8 @@ def materialized(view) -> Transducer:
 def unnumbered(view, q) -> tuple:
     """(last position read, state of view.t, last position written) that
     state q of a view stands for, None before the first read or write."""
-    d, state, u = view._triples[q]
-    positions = view.covering.positions
-    return (None if d < 0 else positions[d], state, None if u < 0 else positions[u])
+    d, state, _ = view._triples[q]
+    return (None if d < 0 else view.covering.positions[d], state, view.written(q))
 
 
 def lift_play(power, play) -> tuple:

@@ -140,3 +140,13 @@ def test_safra_result_survives_the_automata_cache(tmp_path):
     assert loaded is not built
     for name in ("states", "initial", "delta", "priority", "construction"):
         assert getattr(loaded, name) == getattr(built, name), name
+
+
+def test_strict_check_cases_are_made():
+    """`strict-check` writes its dependence-logic games as text that
+    `encoders.parse_dlgame` reads; a reader that refused that text would
+    fail every run of the workload.  Seed 1 makes every game."""
+    workloads = load_bench_module("workloads")
+    cases = workloads.WORKLOADS["strict-check"].cases(1)
+    assert {case.data["game"] for case in cases} == {
+        "imp3", "imp4", "dl2.0", "dl2.1", "dl2.2", "dl2.3", "dl3.0"}

@@ -178,6 +178,40 @@ def test_check_rejects_non_numeric_player(g0_files, tmp_path, capsys):
     assert stdout == ""
 
 
+@pytest.mark.parametrize("command, bad, line", [
+    ("solve", "arena", "node v2"),
+    ("solve", "arena", "edge v0"),
+    ("solve", "arena", "edge v0 v1 v0"),
+    ("solve", "arena", "arena G0 G1"),
+    ("solve", "fst", "final q0"),
+    ("solve", "fst", "trans q0 v0 v0"),
+    ("solve", "fst", "trans q0 v0 v0 q0 q0"),
+    ("solve", "fst", "fst id copy"),
+    ("check", "strategy", "move m v0 -> v1"),
+    ("check", "strategy", "upd m v0 ->"),
+    ("check", "strategy", "upd m v0 -> m m"),
+], ids=["arena-unknown", "arena-short", "arena-over", "arena-header-over",
+        "fst-unknown", "fst-short", "fst-over", "fst-header-over",
+        "strategy-unknown", "strategy-short", "strategy-over"])
+def test_malformed_line_names_it(tmp_path, capsys, command, bad, line):
+    # an unknown directive, or a line one operand short or over, appended to
+    # a valid file: malformed input (exit 2) naming the line, no traceback
+    texts = {"arena": ARENA_G0, "fst": FST_ID, "strategy": STRATEGY_G0}
+    texts[bad] += line + "\n"
+    paths = {}
+    for kind, text in texts.items():
+        paths[kind] = tmp_path / f"g0.{kind}"
+        paths[kind].write_text(text)
+    args = [command, str(paths["arena"]), str(paths["fst"]), "[R] p"]
+    if command == "check":
+        args += [str(paths["strategy"]), "--mode", "full"]
+    code, stdout, stderr = run_cli(args, capsys)
+    assert code == 2
+    assert stderr.startswith(f"error: line {texts[bad].count(chr(10))}: ")
+    assert "Traceback" not in stderr
+    assert stdout == ""
+
+
 @pytest.mark.parametrize("framework, text", [
     ("impinfo", "impgame\nstate\n"),
     ("impinfo", "impgame\nstate s0 init\naction\n"),
@@ -186,10 +220,22 @@ def test_check_rejects_non_numeric_player(g0_files, tmp_path, capsys):
     ("diag", "des\nstate s0 init\nevent\n"),
     ("noninterference", "nisys\nin\n"),
     ("noninterference", "nisys\nin h high\nout\n"),
+    ("dlgame", "dlgame\nsentence forall x (x = x)\ndom 0,1\nrel\n"),
+    ("impinfo", "impgame g\n"),
+    ("diag", "des d\n"),
+    ("noninterference", "nisys n\n"),
+    ("dlgame", "dlgame g\n"),
+    ("impinfo", "impgame\nstate s0 init\naction a b\n"),
+    ("noninterference", "nisys\nin h high\nout x y\n"),
+    ("diag", "des\nstate s0 init\nevent o obs x\n"),
+    ("noninterference", "nisys\nin h high x\n"),
 ], ids=["impgame-state", "impgame-action", "impgame-obs", "des-state", "des-event",
-        "nisys-in", "nisys-out"])
+        "nisys-in", "nisys-out", "dlgame-rel", "impgame-header-operand",
+        "des-header-operand", "nisys-header-operand", "dlgame-header-operand",
+        "impgame-action-extra", "nisys-out-extra", "des-event-extra", "nisys-in-extra"])
 def test_encode_rejects_line_without_operand(tmp_path, capsys, framework, text):
-    # the last line lacks its operand: malformed input (exit 2), naming it
+    # the last line lacks its operand, or has one too many: malformed input
+    # (exit 2), naming it
     source = tmp_path / "system.txt"
     source.write_text(text)
     code, stdout, stderr = run_cli(

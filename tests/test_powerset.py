@@ -13,7 +13,8 @@ from conftest import (child_env, info_set_bruteforce, lift_play, make_branching,
 from test_acceptance import sampled_instances
 from unistrat.arena import Arena, covering_step, format_arena
 from unistrat.errors import CapExceeded
-from unistrat.powerset import build_power_arena, lift_transducer, power_step
+from unistrat.powerset import (LiftedRelation, build_power_arena, lift_transducer,
+                               power_step)
 from unistrat.graph import reachable
 from unistrat.transducer import (EPSILON, Transducer, compose,
                                  identity_transducer, length_transducer,
@@ -139,10 +140,20 @@ def test_written_matches_run_enumeration():
         assert len(lasts) == len(relation) - 1   # all but the initial state
         for q, outs in lasts.items():
             o, = outs
-            if o is not None:
-                assert relation.written(q) == o
+            assert relation.written(q) == o
             if q in relation.accepting:
                 assert o is not None
+
+
+def test_written_is_none_before_the_first_write():
+    # a fresh view of G0's identity relation: the initial state has written
+    # nothing, and its one move reads and writes v0
+    g0 = make_g0()
+    view = LiftedRelation(identity_transducer(g0.positions), g0, lambda v: v)
+    assert view.written(view.initial) is None
+    (a, b, n), = view.transitions_from(view.initial)
+    assert (a, b, view.written(n)) == ("v0", "v0", "v0")
+    assert n in view.accepting
 
 
 def test_power_step_from_none_starts_a_play():
