@@ -717,26 +717,59 @@ def parse_dl_sentence(text: str) -> DlNode:
     return sentence
 
 
+def _dl_arities(sentence: DlNode) -> dict:
+    """Relation name -> the number of terms its atoms take in the
+    sentence; InputFormatError when one name takes two numbers."""
+    arity, stack = {}, [sentence]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, DlQuant):
+            stack.append(node.sub)
+        elif isinstance(node, DlBin):
+            stack += [node.left, node.right]
+        elif node.kind == "rel":
+            n = arity.setdefault(node.rel_name, len(node.terms))
+            if n != len(node.terms):
+                raise InputFormatError(f"relation {node.rel_name!r} takes {n} and "
+                                       f"{len(node.terms)} terms in sentence")
+    return arity
+
+
 def parse_dlgame(text: str) -> tuple:
-    sentence_text = None
+    """Parse the dependence-logic game format.  The sentence's errors name
+    its line; every `rel` tuple must hold elements of `dom` (which may
+    come after it) and as many as the sentence's atoms of that relation."""
+    sentence_line = sentence_text = None
     domain = None
-    relations: dict = {}
+    tuples = []   # (line number, relation name, tuple)
     for lineno, kind, ops in _directives(text, {
             "dlgame": (0, 0), "sentence": (0, None), "dom": (0, None),
             "rel": (1, None)}):
         if kind == "sentence":
-            sentence_text = " ".join(ops)
+            sentence_line, sentence_text = lineno, " ".join(ops)
         elif kind == "dom":
             domain = tuple(x for x in " ".join(ops).split(",") if x)
             for d in domain:
                 _check_name("domain element", d, lineno)
         elif kind == "rel":
-            name = ops[0]
             tup = tuple(x for x in " ".join(ops[1:]).split(",") if x)
-            relations.setdefault(name, set()).add(tup)
+            tuples.append((lineno, ops[0], tup))
     if sentence_text is None or domain is None:
         raise InputFormatError("dlgame needs sentence and dom lines")
-    sentence = parse_dl_sentence(sentence_text)
+    try:
+        sentence = parse_dl_sentence(sentence_text)
+        arity = _dl_arities(sentence)
+    except InputFormatError as exc:
+        raise InputFormatError(str(exc), sentence_line) from None
+    relations: dict = {}
+    for lineno, name, tup in tuples:
+        stray = [x for x in tup if x not in domain]
+        if stray:
+            raise InputFormatError(f"rel element {stray[0]!r} is not in dom", lineno)
+        if len(tup) != arity.get(name, len(tup)):
+            raise InputFormatError(f"rel {name} takes {arity[name]} element(s), "
+                                   f"found {len(tup)}", lineno)
+        relations.setdefault(name, set()).add(tup)
     model = DlModel(domain, {k: frozenset(v) for k, v in relations.items()})
     return sentence, model
 

@@ -27,7 +27,7 @@ from .arena import Arena
 from .errors import CapExceeded
 from .graph import reachable
 from .ltlgame import DEFAULT_CAPS
-from .transducer import EPSILON
+from .transducer import EPSILON, Transducer
 
 __all__ = [
     "PowerPosition", "PowerArena", "power_step", "build_power_arena",
@@ -155,6 +155,17 @@ class LiftedRelation:
     numbering a state past `cap` raises CapExceeded(what, ...); `len`
     explores every reachable state once and remembers the count.
 
+    When t is a view, a state scans every move of its t state, which are
+    few.  A raw `Transducer`, which `restrict_to_plays` lifts, may have
+    hundreds per state, so the view indexes each raw state's moves the
+    first time it reads them: reads by input symbol, epsilon-input writes
+    by output symbol, and the epsilon/epsilon moves in a list, each move
+    by its rank in t's list.  A state (d, q, u) then looks up only the
+    reads of a successor of d, the epsilon-input writes of a successor of
+    u and the epsilon/epsilon moves, merged back into t's order by rank.
+    `drop_dead_states` lets the index go with the rest of what numbering
+    needs.
+
     Over a covering with a successor for every plain successor, as the
     power arena has, the view is trim whenever t is trim.  Lifted onto
     its own arena, or onto the outcome arena, which keeps one edge at the
@@ -174,6 +185,7 @@ class LiftedRelation:
         self._number: dict = {}    # (d, q, u) -> number
         self._moves: list = []     # number -> its moves, None until asked
         self._next = None
+        self._index = {} if isinstance(t, Transducer) else None   # q -> its moves, ranks by symbol
         self._size = None
         self._state((-1, t.initial, -1))
 
@@ -211,9 +223,13 @@ class LiftedRelation:
         number = self._number
         positions = self.covering.positions
         d, q, u = self._triples[state]
+        if self._index is None:
+            candidates = self.t.transitions_from(q)
+        else:
+            candidates = self._indexed_moves(q, self._next[d], self._next[u])
         reads, writes = self._next[d].get, self._next[u].get
         out = []
-        for a, b, q2 in self.t.transitions_from(q):
+        for a, b, q2 in candidates:
             d2 = reads(a)
             if d2 is None:
                 continue
@@ -228,6 +244,30 @@ class LiftedRelation:
                         EPSILON if b is EPSILON else positions[u2], n))
         moves = self._moves[state] = tuple(out)
         return moves
+
+    def _indexed_moves(self, q, reads, writes) -> list:
+        """The moves of raw state q that may follow rows `reads` and
+        `writes` of `_successor_numbers`, in t's order: those reading a
+        key of `reads`, the epsilon-input ones writing a key of `writes`,
+        and the epsilon/epsilon ones."""
+        index = self._index.get(q)
+        if index is None:
+            moves = self.t.transitions_from(q)
+            by_read, by_write, silent = {}, {}, []
+            for rank, (a, b, _) in enumerate(moves):
+                if a is not EPSILON:
+                    by_read.setdefault(a, []).append(rank)
+                elif b is not EPSILON:
+                    by_write.setdefault(b, []).append(rank)
+                else:
+                    silent.append(rank)
+            index = self._index[q] = (moves, by_read, by_write, silent)
+        moves, by_read, by_write, silent = index
+        picked = [rank for a in reads for rank in by_read.get(a, ())]
+        picked += [rank for b in writes for rank in by_write.get(b, ())]
+        picked += silent
+        picked.sort()
+        return [moves[rank] for rank in picked]
 
     def written(self, state):
         """The covering position the state last wrote, or None if it has
@@ -259,7 +299,7 @@ class LiftedRelation:
             alive = set(found)
             for n, moves in enumerate(self._moves):
                 self._moves[n] = tuple(m for m in moves if m[2] in alive)
-        self._size = self._number = self._next = None
+        self._size = self._number = self._next = self._index = None
 
     def __len__(self):
         if self._size is None:

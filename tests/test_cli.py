@@ -245,6 +245,28 @@ def test_encode_rejects_line_without_operand(tmp_path, capsys, framework, text):
     assert stdout == ""
 
 
+@pytest.mark.parametrize("text, line", [
+    ("dlgame\nsentence forall x exists y E(x, y)\ndom 0,1\nrel E 0,7\n", 4),
+    ("dlgame\nsentence forall x exists y E(x, y)\ndom 0,1\nrel E 1\n", 4),
+    ("dlgame\ndom 0,1\nsentence forall x (x =\n", 3),
+    ("dlgame\ndom 0,1\nsentence\n", 3),
+    ("dlgame\nrel E 0,1\nrel E 0,2\nsentence forall x exists y E(x, y)\ndom 0,1\n", 3),
+    ("dlgame\ndom 0,1\nsentence forall x exists y (E(x, y) | E(y))\n", 3),
+], ids=["rel-outside-dom", "rel-arity", "sentence-cut-short", "sentence-empty",
+        "rel-before-dom", "sentence-two-arities"])
+def test_encode_dlgame_rejects_bad_sentence_or_tuple(tmp_path, capsys, text, line):
+    # a malformed sentence, or a tuple the model cannot hold, is malformed
+    # input (exit 2) naming its line, even when `dom` comes later
+    source = tmp_path / "game.dl"
+    source.write_text(text)
+    code, stdout, stderr = run_cli(
+        ["encode", "dlgame", str(source), "--out-prefix", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert stderr.startswith(f"error: line {line}: ")
+    assert "Traceback" not in stderr
+    assert stdout == ""
+
+
 def test_encode_diag_solve_round_trip(tmp_path, capsys):
     des = tmp_path / "m.des"
     des.write_text(DES_CONFUSABLE)

@@ -1,17 +1,20 @@
 import itertools
 import pickle
+import random
 import subprocess
 import sys
-from operator import attrgetter
+from collections import Counter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import pytest
 
 from conftest import (child_env, info_set_bruteforce, lift_play, make_branching,
                       make_g0, materialized, play_projection_transducers,
-                      plays_up_to, random_arena, random_transducer, unnumbered)
+                      plays_up_to, positional_strategies, random_arena,
+                      random_transducer, unnumbered)
 from test_acceptance import sampled_instances
-from unistrat.arena import Arena, covering_step, format_arena
+from unistrat.arena import Arena, covering_step, format_arena, outcome_arena
 from unistrat.errors import CapExceeded
 from unistrat.powerset import (LiftedRelation, build_power_arena, lift_transducer,
                                power_step)
@@ -154,6 +157,84 @@ def test_written_is_none_before_the_first_write():
     (a, b, n), = view.transitions_from(view.initial)
     assert (a, b, view.written(n)) == ("v0", "v0", "v0")
     assert n in view.accepting
+
+
+class Scanned:
+    """A relation seen only through `initial`, `accepting` and
+    `transitions_from`, as a view is: a lift of it scans every move of a
+    state, the reference for the lift's index of a raw transducer."""
+
+    def __init__(self, t):
+        self.initial, self.accepting = t.initial, t.accepting
+        self.transitions_from = t.transitions_from
+
+
+def busy_transducer(rng, alphabet):
+    """Random moves of all four kinds (symbol or epsilon on either tape),
+    an epsilon/epsilon cycle through a state with one move, and states
+    with up to four moves per symbol."""
+    k = rng.randint(2, 4)
+    states = [f"q{i}" for i in range(k)]
+    symbols = sorted(alphabet, key=str)
+    transitions = [("q0", EPSILON, EPSILON, "q1"), ("q1", EPSILON, EPSILON, "q0")]
+    for q in states[2:] + ["q0"] * rng.randint(0, 2):
+        for _ in range(rng.randint(1, 4 * len(symbols))):
+            a, b = rng.choice(((symbols, symbols), (symbols, [EPSILON]),
+                               ([EPSILON], symbols), ([EPSILON], [EPSILON])))
+            transitions.append((q, rng.choice(a), rng.choice(b), rng.choice(states)))
+    return Transducer(states, alphabet, alphabet, "q0",
+                      rng.sample(states, rng.randint(1, k)), transitions, name="busy")
+
+
+def test_move_index_matches_scan():
+    """Lifting a raw transducer onto its arena or onto an outcome arena
+    numbers the same states with the same moves, in the same order, as a
+    scan of every move; the index is let go with the dead states."""
+    rng = random.Random(2027)
+    lifts = 0
+    for _ in range(40):
+        arena = random_arena(rng, max_positions=6)
+        t = busy_transducer(rng, frozenset(arena.positions))
+        outcome = outcome_arena(arena, next(positional_strategies(arena, rng.randint(1, 2))))
+        for covering, down in ((arena, lambda v: v), (outcome, itemgetter(0))):
+            indexed = LiftedRelation(t, covering, down)
+            scanned = LiftedRelation(Scanned(t), covering, down)
+            for explore in (len, LiftedRelation.drop_dead_states):
+                for view in (indexed, scanned):
+                    explore(view)
+                assert indexed._triples == scanned._triples
+                assert indexed._moves == scanned._moves
+                assert indexed.accepting == scanned.accepting
+            assert indexed._index is None
+            lifts += len(indexed._triples) > 1
+    assert lifts > 40
+
+
+def test_restriction_reads_each_raw_state_once():
+    """Restricting the identity to 200 alternating positions reads the
+    transducer's moves once for its liveness pass and once for the lift's
+    index, not once per numbered state."""
+    reads = Counter()
+
+    class Counted(Transducer):
+        def transitions_from(self, q):
+            reads[q] += 1
+            return super().transitions_from(q)
+
+    n = 200
+    names = [f"v{i}" for i in range(n)]
+    arena = Arena(names, {v: 1 + i % 2 for i, v in enumerate(names)},
+                  [(names[i], names[(i + k) % n]) for i in range(n) for k in (1, 3)],
+                  "v0", {v: set() for v in names})
+    ident = identity_transducer(names)
+    t = Counted(ident.states, ident.input_alphabet, ident.output_alphabet,
+                ident.initial, ident.accepting, ident.transitions)
+    trim(t)
+    by_trim = Counter(reads)
+    reads.clear()
+    relation = restrict_to_plays(t, arena)
+    assert len(relation._triples) == n + 1
+    assert reads == by_trim + Counter(t.states)
 
 
 def test_power_step_from_none_starts_a_play():
